@@ -493,6 +493,8 @@ _INVARIANT_FNS: dict[str, Callable[[RunConfig, int, object], CheckResult]] = {
 def run_suite(cfg: RunConfig, suite: str, trials: int, seed: object) -> list[CheckResult]:
     if suite not in SUITES:
         raise ConfigError(f"suite: unknown suite {suite!r}; know {', '.join(SUITES)}")
+    if trials < 1:
+        raise ConfigError(f"trials: must be at least 1, got {trials}")
     results = []
     if suite in ("properties", "all"):
         for name in PROPERTY_CHECKS:

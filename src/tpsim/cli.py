@@ -26,11 +26,19 @@ from .confidentiality import MUTATIONS, check_confidentiality
 from .core import ConfigError, ModelError
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("config", help="run configuration file")
     sub.add_argument("--seed", type=int, default=1,
                      help="root of all randomness (default 1)")
-    sub.add_argument("--jobs", type=int, default=1,
+    sub.add_argument("--jobs", type=positive_int, default=1,
                      help="worker processes for sample collection (default 1)")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the generation timestamp line")
@@ -47,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="run the randomized property suites")
     _add_common(c)
     c.add_argument("--suite", choices=SUITES, default="all")
-    c.add_argument("--trials", type=int, default=1000,
+    c.add_argument("--trials", type=positive_int, default=1000,
                    help="cases per property (default 1000)")
     c.set_defaults(func=cmd_check)
 
@@ -56,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--variant", choices=("u", "u-mu"), default="u-mu")
     c.add_argument("--observer", type=int, default=None,
                    help="observing domain (default: first domain)")
-    c.add_argument("--trials", type=int, default=None,
+    c.add_argument("--trials", type=positive_int, default=None,
                    help="trial pairs (default: analysis.trials)")
     c.add_argument("--mutation", default="none",
                    choices=("none",) + MUTATIONS)
@@ -65,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("attack", help="prime-and-probe capacity measurement")
     _add_common(c)
     c.add_argument("--protection", choices=PROTECTIONS, default="on")
-    c.add_argument("--samples", type=int, default=None,
+    c.add_argument("--samples", type=positive_int, default=None,
                    help="samples per symbol (default: analysis.samples_per_symbol)")
     c.add_argument("--out-csv", default=None,
                    help="write the channel matrix here")
@@ -74,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("prefetch-experiment",
                        help="targeted flush versus prefetch, same channel")
     _add_common(c)
-    c.add_argument("--samples", type=int, default=None,
+    c.add_argument("--samples", type=positive_int, default=None,
                    help="samples per symbol (default: analysis.samples_per_symbol)")
     c.set_defaults(func=cmd_prefetch)
 

@@ -651,7 +651,11 @@ class SystemRunner:
             domain = self.policy.domain_ids()[k % len(self.policy.domains)]
             # The round-robin successor was installed by the previous switch;
             # trust but verify, since schedules are defined positionally.
-            assert domain == self.abstract.current, "schedule out of sync with rotation"
+            if domain != self.abstract.current:
+                raise ModelError(
+                    f"schedule out of sync with rotation: slice {k} belongs to domain "
+                    f"{domain}, but domain {self.abstract.current} is current"
+                )
             self._step_in_slice = 0
             slice_start = self.micro.clock
             tick = slice_start + self.policy.slice_length

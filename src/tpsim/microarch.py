@@ -25,6 +25,7 @@ runs can share exactly the nondeterminism they are meant to share.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -383,11 +384,8 @@ def offcore_flush_cost(state: MicroArchState, targets: frozenset[int],
 def apply_op(state: MicroArchState, op: TraceOp, oracle: NondetOracle,
              g: CacheGeometry, cm: CostModel, policy: DomainPolicy) -> MicroArchState:
     """Apply one hardware operation, returning the successor state."""
-    if isinstance(op, Read):
-        # Reads and writes are distinct operations with identical default
-        # semantics; keep the branches separate so they can diverge later.
-        return _access(state, op.v, op.p, oracle, g, cm, policy)
-    if isinstance(op, Write):
+    if isinstance(op, (Read, Write)):
+        # Reads and writes are distinct operations with identical semantics.
         return _access(state, op.v, op.p, oracle, g, cm, policy)
     if isinstance(op, OnCoreFlush):
         cost = oncore_flush_cost(state, cm) + _jitter(oracle, cm)
@@ -419,15 +417,128 @@ def apply_op(state: MicroArchState, op: TraceOp, oracle: NondetOracle,
     raise TypeError(f"unknown trace operation {op!r}")
 
 
+# The fold below keeps the flushable words in 128-bit lanes of one int, so a
+# single multiply, mask and three xors mix all of them at once.
+_LANE = 128
+
+
+@functools.lru_cache(maxsize=8)
+def _lane_constants(n: int) -> tuple[int, int, int, int]:
+    """(ones, lane mask, v offsets, p offsets) for n packed words."""
+    ones = sum(1 << (_LANE * i) for i in range(n))
+    return (
+        ones,
+        ones * _WORD_MASK,
+        sum((0x9E37 * i) << (_LANE * i) for i in range(n)),
+        sum((0x79B9 * i) << (_LANE * i) for i in range(n)),
+    )
+
+
+def _pack(words: tuple[int, ...]) -> int:
+    # Mixing multiplies first and keeps 64 bits, so reducing each word mod
+    # 2^64 beforehand gives the same result.
+    return sum((w & _WORD_MASK) << (_LANE * i) for i, w in enumerate(words))
+
+
+def _unpack(packed: int, n: int) -> tuple[int, ...]:
+    return tuple((packed >> (_LANE * i)) & _WORD_MASK for i in range(n))
+
+
+def _freeze(base: tuple[CacheSet, ...], work: dict[int, list], words: tuple[int, ...],
+            packed: int | None, clock: int) -> MicroArchState:
+    sets = base
+    if work:
+        sets = list(base)
+        for idx, (ways, meta) in work.items():
+            sets[idx] = CacheSet(tuple(ways), meta)
+        sets = tuple(sets)
+    if packed is not None:
+        words = _unpack(packed, len(words))
+    return MicroArchState(words, sets, clock)
+
+
 def apply_trace(state: MicroArchState, trace: Trace, oracle: NondetOracle,
                 g: CacheGeometry, cm: CostModel, policy: DomainPolicy) -> MicroArchState:
-    """Left fold of apply_op; the first failing operation aborts the trace."""
-    for i, op in enumerate(trace):
-        try:
-            state = apply_op(state, op, oracle, g, cm, policy)
-        except ModelError as e:
-            raise TraceError(i, e) from e
-    return state
+    """Left fold of apply_op; the first failing operation aborts the trace.
+
+    Reads and writes update a private working copy: the flushable words, the
+    touched sets as mutable [ways, meta] pairs, and the clock.  One state is
+    built at the end.  The other operations go through apply_op itself.
+    apply_op stays the reference semantics, and the fold must agree with it
+    on the result, the oracle words drawn and any error raised.
+    """
+    if not trace:
+        return state
+    ones, lane_mask, v_off, p_off = _lane_constants(len(state.flushable))
+    words = state.flushable       # current unless packed is set
+    packed: int | None = None
+    base = state.sets
+    work: dict[int, list] = {}    # set index -> [ways list, meta]
+    clock = state.clock
+
+    line_size, num_ways = g.line_size, g.num_ways
+    hit_cost, miss_cost, miss_evict_cost = cm.hit_cost, cm.miss_cost, cm.miss_evict_cost
+    jitter_mod = cm.jitter + 1
+    adversarial = policy.replacement == "adversarial"
+
+    try:
+        for i, op in enumerate(trace):
+            cls = op.__class__
+            if cls is not Read and cls is not Write:
+                nxt = apply_op(_freeze(base, work, words, packed, clock), op, oracle, g, cm, policy)
+                words, packed, base, work, clock = nxt.flushable, None, nxt.sets, {}, nxt.clock
+                continue
+
+            v, p = op.v, op.p
+            idx = set_index_of(p, g)
+            entry = work.get(idx)
+            if entry is None:
+                cset = base[idx]
+                entry = work[idx] = [list(cset.ways), cset.meta]
+            ways = entry[0]
+            tag = p - p % line_size
+
+            # touch_cost, on the working copy
+            way, level = -1, 0
+            for k, e in enumerate(ways):
+                if e is not None and e[0] == tag:
+                    way, level = k, e[1]
+                    break
+            if level > 0:
+                cost = hit_cost[level - 1]
+            elif None in ways:
+                cost = miss_cost
+            else:
+                cost = miss_evict_cost
+            mix_word = oracle.next_word()
+            jitter = oracle.next_word() % jitter_mod    # as _jitter, also for jitter 0
+
+            # _access, on the working copy
+            if way < 0:
+                if None in ways:
+                    way = ways.index(None)
+                elif adversarial:
+                    way = _adv_victim(entry[1], num_ways)
+                else:
+                    way = _plru_victim(entry[1], num_ways)
+            ways[way] = (tag, 1)
+            if adversarial:
+                entry[1] = _adv_update(entry[1], tag)
+            else:
+                entry[1] = _plru_touch(entry[1], way, num_ways)
+
+            # _mix_flushable keeps (v + c) and (p + c) mod 2^64, which is the
+            # same for v and p reduced mod 2^64 first; reduced, no lane carries.
+            if packed is None:
+                packed = _pack(words)
+            v &= _WORD_MASK
+            p &= _WORD_MASK
+            packed = ((packed * _MIX_MULT ^ (v * ones + v_off) ^ (p * ones + p_off))
+                      & lane_mask) ^ (mix_word * ones)
+            clock += cost + jitter
+    except ModelError as e:
+        raise TraceError(i, e) from e
+    return _freeze(base, work, words, packed, clock)
 
 
 # --- adherence ----------------------------------------------------------------
@@ -545,7 +656,8 @@ def parse_trace(lines: Iterable[str]) -> Trace:
         elif head == "ONFLUSH":
             ops.append(OnCoreFlush())
         elif head == "OFFFLUSH":
-            ops.append(OffCoreFlush(frozenset(int(t, 16) for t in rest.split(","))))
+            # A bare OFFFLUSH is an off-core flush with no targets.
+            ops.append(OffCoreFlush(frozenset(int(t, 16) for t in rest.split(",") if rest)))
         elif head == "PAD":
             ops.append(PadTo(int(rest)))
         else:

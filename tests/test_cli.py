@@ -2,7 +2,10 @@
 
 import pytest
 
+from tpsim.channel import measure_channel
+from tpsim.checks import run_suite
 from tpsim.cli import main
+from tpsim.core import ConfigError
 
 REF = "configs/reference.yaml"
 
@@ -66,13 +69,53 @@ def test_attack_writes_csv_and_is_deterministic(capsys, tmp_path, config_dir):
     assert "M_bits=0.0" in outs[0]
 
 
-def test_attack_rejects_zero_samples(capsys, config_dir):
-    code, _, err = run_cli(
-        capsys, "attack", str(config_dir / "reference.yaml"),
-        "--samples", "0", "--no-timestamp",
-    )
-    assert code == 2
-    assert "samples_per_symbol" in err
+def test_attack_rejects_zero_samples(capsys, config_dir, ref_cfg):
+    # The command line refuses the count before it loads anything ...
+    with pytest.raises(SystemExit) as e:
+        main(["attack", str(config_dir / "reference.yaml"),
+              "--samples", "0", "--no-timestamp"])
+    assert e.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+    # ... and the library refuses it too, naming the field.
+    with pytest.raises(ConfigError, match="samples_per_symbol"):
+        measure_channel(ref_cfg, "on", 1, samples_per_symbol=0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--trials", "-5"],
+    ["check", "--trials", "0"],
+    ["check", "--jobs", "0"],
+    ["confidentiality", "--trials", "0"],
+    ["confidentiality", "--jobs", "-1"],
+    ["attack", "--jobs", "-3"],
+    ["attack", "--samples", "-2"],
+    ["attack", "--samples", "ten"],
+    ["prefetch-experiment", "--samples", "0"],
+    ["prefetch-experiment", "--jobs", "0"],
+], ids=" ".join)
+def test_non_positive_counts_are_usage_errors(capsys, config_dir, argv):
+    command, *rest = argv
+    with pytest.raises(SystemExit) as e:
+        main([command, str(config_dir / "reference.yaml"), *rest, "--no-timestamp"])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and rest[0] in err
+
+
+def test_jobs_is_accepted_by_every_command(capsys, config_dir):
+    cfgp = str(config_dir / "reference.yaml")
+    for argv in (["check", cfgp, "--suite", "invariants", "--trials", "20"],
+                 ["confidentiality", cfgp, "--trials", "2"],
+                 ["attack", cfgp, "--samples", "4"],
+                 ["prefetch-experiment", cfgp, "--samples", "4"]):
+        code, _, _ = run_cli(capsys, *argv, "--jobs", "2", "--no-timestamp")
+        assert code == 0, argv
+
+
+def test_run_suite_rejects_no_trials(ref_cfg):
+    for trials in (0, -5):
+        with pytest.raises(ConfigError, match="trials"):
+            run_suite(ref_cfg, "all", trials, 1)
 
 
 def test_missing_config_is_exit_2(capsys):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from tpsim.core import KERNEL_DOMAIN, PolicyError, set_index_of
+from tpsim.core import KERNEL_DOMAIN, ModelError, PolicyError, set_index_of
 from tpsim.kernel import (
     Input,
     NOOP,
@@ -118,6 +118,15 @@ def test_switch_requires_an_expired_slot(ref_cfg):
     r = SystemRunner(ref_cfg, seed=6)
     with pytest.raises(PolicyError):
         r.domain_switch(ref_cfg.policy.slice_length)
+
+
+def test_run_rejects_a_rotation_out_of_turn(ref_cfg):
+    """A raised error, not an assert, so that python -O keeps the check."""
+    r = SystemRunner(ref_cfg, seed=6)
+    r.abstract.current = ref_cfg.policy.domain_ids()[1]
+    with pytest.raises(ModelError, match="out of sync with rotation"):
+        r.run(slices=2)
+    assert r.records == []
 
 
 def test_switch_mechanism_shape_and_postconditions(ref_cfg):

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from tpsim.core import CacheGeometry, ConfigError, DomainPolicy, DomainSpec, set_index_of
+from tpsim.core import (
+    CacheGeometry, ConfigError, DomainPolicy, DomainSpec, ModelError, set_index_of,
+)
 from tpsim.microarch import (
     CacheSet,
     CostModel,
@@ -30,6 +32,7 @@ from tpsim.microarch import (
     visible_set_indices,
 )
 from tpsim.core import AddressMap
+from tpsim.selector import perturb_invisible
 
 G = CacheGeometry(line_size=64, num_sets=64, num_ways=2, page_size=1024)
 CM = CostModel(
@@ -329,7 +332,155 @@ def test_trace_format_round_trip():
             ops.append(OffCoreFlush(frozenset(rng.randrange(1 << 16) for _ in range(3))))
         else:
             ops.append(PadTo(rng.randrange(1 << 30)))
+    # No targets is a real op: a config without kernel globals emits one at
+    # every honest switch.
+    ops.insert(100, OffCoreFlush(frozenset()))
     trace = tuple(ops)
     assert parse_trace(format_trace(trace)) == trace
+    assert parse_trace(["OFFFLUSH"]) == (OffCoreFlush(frozenset()),)
     with pytest.raises(ValueError):
         parse_trace(["JUMP 0x0"])
+
+
+# --- apply_trace against the left fold of apply_op ----------------------------
+
+G8K = CacheGeometry(line_size=64, num_sets=8192, num_ways=2, page_size=1024)
+TWO_DOMAINS = DomainPolicy(
+    domains=(
+        DomainSpec(0, frozenset({0, 1}), frozenset(), frozenset()),
+        DomainSpec(1, frozenset({2, 3}), frozenset(), frozenset()),
+    ),
+    kernel_globals=frozenset(), switch_deadline=320, slice_length=8192,
+)
+
+
+def fold_apply_op(state, trace, oracle, g, cm, policy):
+    """The reference: apply_op one operation at a time."""
+    for i, op in enumerate(trace):
+        try:
+            state = apply_op(state, op, oracle, g, cm, policy)
+        except ModelError as e:
+            raise TraceError(i, e) from e
+    return state
+
+
+def outcome(fn, state, trace, make_oracle, g, policy):
+    """What a trace application did: result or error, and oracle words drawn."""
+    oracle = make_oracle()
+    try:
+        result = fn(state, trace, oracle, g, CM, policy)
+    except TraceError as e:
+        return ("trace-error", e.index, type(e.cause)), oracle.consumed
+    except ValueError as e:
+        return ("bare", type(e)), oracle.consumed
+    return ("ok", result), oracle.consumed
+
+
+def dense_state(rng, g, spans=4):
+    """Random state with level-1 and level-2 entries over spans cache spans."""
+    span = g.line_size * g.num_sets
+    sets = []
+    for idx in range(g.num_sets):
+        ways = [
+            (rng.randrange(spans) * span + idx * g.line_size, rng.randint(1, 2))
+            if rng.random() < 0.6 else None
+            for _ in range(g.num_ways)
+        ]
+        sets.append(CacheSet(tuple(ways), meta=rng.getrandbits(64)))
+    flushable = tuple(rng.getrandbits(64) for _ in range(CM.flushable_words))
+    return MicroArchState(flushable, tuple(sets), clock=rng.randrange(10000))
+
+
+def random_trace(rng, g, state, length, spans=4):
+    span = g.line_size * g.num_sets
+    # A small pool of lines, so that a trace revisits, fills and evicts sets.
+    pool = [rng.randrange(spans * span) for _ in range(6)]
+    pool += [p + k * span for p in pool[:2] for k in (1, 2)]
+    ops = []
+    for _ in range(length):
+        k = rng.randrange(10)
+        if k < 7:
+            p = rng.choice(pool)
+            v = rng.randrange(1 << 32)
+            if rng.random() < 0.05:
+                # Wide addresses, which the packed mixing reduces mod 2^64.
+                v = rng.choice([rng.randrange(1 << 64, 1 << 127), rng.randrange(1 << 127, 1 << 130)])
+                p = rng.choice([p + (1 << 64) * span, p + (1 << 127) * span])
+            ops.append((Read if k < 5 else Write)(v, p))
+        elif k == 7:
+            ops.append(OnCoreFlush())
+        elif k == 8:
+            ops.append(OffCoreFlush(frozenset(rng.sample(pool, rng.randint(0, 2)))))
+        else:
+            # Mostly ahead of the clock, sometimes behind it.
+            ops.append(PadTo(state.clock + rng.randrange(-50, 4000)))
+    return tuple(ops)
+
+
+@pytest.mark.parametrize("g", [G, G8K], ids=["sets64", "sets8192"])
+@pytest.mark.parametrize("policy", [PLRU, ADV], ids=["plru", "adversarial"])
+def test_apply_trace_matches_fold_of_apply_op(g, policy):
+    rng = random.Random(f"fold:{g.num_sets}:{policy.replacement}")
+    outcomes = set()
+    for trial in range(12 if g is G8K else 120):
+        if trial % 3 == 0:
+            state = MicroArchState.initial(g, CM.flushable_words)
+        else:
+            state = dense_state(rng, g)
+        trace = random_trace(rng, g, state, rng.randint(1, 40))
+        if trial % 4 == 1:
+            # An explicit word list that may run out partway through.
+            words = [rng.getrandbits(64) for _ in range(rng.randrange(2 * len(trace)))]
+            make_oracle = lambda: NondetOracle(words=words)
+        else:
+            make_oracle = lambda: NondetOracle(key=f"fold:{trial}")
+        want = outcome(fold_apply_op, state, trace, make_oracle, g, policy)
+        got = outcome(apply_trace, state, trace, make_oracle, g, policy)
+        assert got == want, (trial, trace)
+        outcomes.add(want[0][0] if want[0][0] == "ok" else want[0][2])
+    # The random traces reached success, a past pad and an exhausted oracle.
+    assert outcomes == {"ok", PadViolation, ModelError}
+
+
+def test_apply_trace_fold_edge_cases():
+    rng = random.Random("fold-edges")
+    key = lambda: NondetOracle(key="edges")
+
+    def same(state, trace, make_oracle=key, g=G, policy=PLRU):
+        want = outcome(fold_apply_op, state, trace, make_oracle, g, policy)
+        assert outcome(apply_trace, state, trace, make_oracle, g, policy) == want
+        return want
+
+    s = dense_state(rng, G)
+    # A negative physical address is a bare ValueError, raised before the
+    # operation draws a word.
+    assert same(s, (Read(0, 0x40), Write(0, -64))) == (("bare", ValueError), 2)
+    assert same(s, (Read(0, -1),)) == (("bare", ValueError), 0)
+    # A pad in the past stops the trace at its index.
+    assert same(s, (Read(0, 0x40), PadTo(0), Read(0, 0x80)))[0] == (
+        "trace-error", 1, PadViolation)
+    # An oracle that runs out between the mixing word and the jitter word.
+    words = lambda: NondetOracle(words=[1, 2, 3])
+    assert same(s, (Read(0, 0x40), Write(0, 0x80)), words) == (
+        ("trace-error", 1, ModelError), 4)
+    # Addresses at and above 2^64, above 2^127 and negative virtual ones;
+    # empty off-core targets.
+    wide = (Write(1 << 64, (1 << 64) + 0x40), Read((1 << 127) + 5, 0x40), Read(-3, 0x80),
+            Read(0x40, (1 << 127) + 0x40), OffCoreFlush(frozenset()),
+            Write(3, 0x40), OnCoreFlush(), Read(1 << 130, 1 << 131))
+    for policy in (PLRU, ADV):
+        assert same(s, wide, policy=policy)[0][0] == "ok"
+    # Flushable words outside 64 bits mix as their residues mod 2^64.
+    odd = MicroArchState((-1, 1 << 70) + (5,) * 6, s.sets, s.clock)
+    assert same(odd, (Read(0, 0x40), Read(1, 0x80)))[0][0] == "ok"
+    assert apply_trace(s, (), key(), G, CM, PLRU) is s
+
+    # Level-2 entries planted by perturb_invisible in the sets domain 0
+    # cannot see, then read from.
+    lines = [n * G.line_size for n in range(4 * G.num_sets)]
+    base = MicroArchState.initial(G, CM.flushable_words)
+    mixed = perturb_invisible(base, 0, TWO_DOMAINS, G, lines, seed=3, max_level=2)
+    assert any(e is not None and e[1] == 2 for cs in mixed.sets for e in cs.ways)
+    trace = tuple(Read(a, a) for a in rng.sample(lines, 60))
+    for policy in (PLRU, ADV):
+        assert same(mixed, trace, policy=policy)[0][0] == "ok"
