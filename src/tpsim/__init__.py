@@ -23,9 +23,6 @@ from .config import RunConfig, load_config, parse_config, validate_config
 from .confidentiality import (
     ConfidentialityReport,
     check_confidentiality,
-    check_confidentiality_u,
-    check_confidentiality_u_mu,
-    mutations,
 )
 from .core import (
     AddressMap,
@@ -102,11 +99,8 @@ __all__ = [
     "apply_op",
     "apply_trace",
     "check_confidentiality",
-    "check_confidentiality_u",
-    "check_confidentiality_u_mu",
     "load_config",
     "measure_channel",
-    "mutations",
     "mutual_information",
     "parse_config",
     "partition_subset_invariant",

@@ -33,7 +33,9 @@ import numpy as np
 
 from .config import RunConfig
 from .core import ConfigError
-from .kernel import Input, NOOP, RunOptions, SYS_READ, USER_READ, SystemRunner
+from .kernel import (
+    Input, NOOP, PREFETCH_MECHANISM, RunOptions, SYS_READ, USER_READ, SystemRunner,
+)
 from .microarch import NondetOracle
 
 PROTECTIONS = ("on", "off", "prefetch", "targeted-flush")
@@ -257,8 +259,8 @@ def attack_variant(cfg: RunConfig, protection: str) -> tuple[RunConfig, RunOptio
 
     "on" and "targeted-flush" run the honest kernel as configured.  "off"
     makes the trojan's kernel image the spy's image (one shared page is the
-    channel medium) and disables the whole switch mechanism.  "prefetch"
-    replaces the targeted flush by sequential reads of the kernel globals.
+    channel medium) and runs an empty switch mechanism.  "prefetch" replaces
+    the targeted flush by sequential reads of the kernel globals.
     """
     if protection not in PROTECTIONS:
         raise ConfigError(
@@ -269,7 +271,7 @@ def attack_variant(cfg: RunConfig, protection: str) -> tuple[RunConfig, RunOptio
     if protection in ("on", "targeted-flush"):
         return cfg, RunOptions()
     if protection == "prefetch":
-        return cfg, RunOptions(mechanism="prefetch")
+        return cfg, RunOptions(mechanism=PREFETCH_MECHANISM)
 
     spy, trojan = cfg.policy.domain_ids()[:2]
     spy_image = cfg.policy.domain(spy).kernel_image
@@ -281,9 +283,7 @@ def attack_variant(cfg: RunConfig, protection: str) -> tuple[RunConfig, RunOptio
     # The spy's image pages are already in the kernel window of the address
     # map, so the trojan's walks of the shared image translate as-is.
     off_cfg = replace(cfg, policy=policy)
-    return off_cfg, RunOptions(
-        skip_oncore_flush=True, skip_offcore_flush=True, skip_pad=True,
-    )
+    return off_cfg, RunOptions(mechanism=())
 
 
 def _attack_objects(cfg: RunConfig) -> tuple[str, str, str]:
@@ -353,8 +353,7 @@ def _collect_chunk(args) -> list[tuple[int, int, int]]:
 
 
 def run_prime_probe(cfg: RunConfig, protection: str, bits: Iterable[int],
-                    samples_per_symbol: int, seed: object,
-                    jobs: int = 1, bin_width: int | None = None) -> ChannelMatrix:
+                    samples_per_symbol: int, seed: object, jobs: int = 1) -> ChannelMatrix:
     """Collect the channel matrix for one protection mode."""
     symbols = tuple(bits)
     if not symbols or any(b not in (0, 1) for b in symbols):
@@ -383,12 +382,10 @@ def run_prime_probe(cfg: RunConfig, protection: str, bits: Iterable[int],
     samples: dict[str, list[int]] = {str(s): [] for s in symbols}
     for _, symbol, latency in triples:
         samples[str(symbol)].append(latency)
-    width = bin_width if bin_width is not None else cfg.analysis.bin_width
-    return ChannelMatrix.from_samples(samples, bin_width=width)
+    return ChannelMatrix.from_samples(samples, bin_width=cfg.analysis.bin_width)
 
 
 def measure_channel(cfg: RunConfig, protection: str, seed: object,
-                    bits: Iterable[int] = (0, 1),
                     samples_per_symbol: int | None = None,
                     shuffles: int | None = None,
                     jobs: int = 1) -> CapacityReport:
@@ -396,7 +393,7 @@ def measure_channel(cfg: RunConfig, protection: str, seed: object,
     samples = cfg.analysis.samples_per_symbol if samples_per_symbol is None \
         else samples_per_symbol
     nshuffles = cfg.analysis.shuffles if shuffles is None else shuffles
-    matrix = run_prime_probe(cfg, protection, bits, samples, seed, jobs=jobs)
+    matrix = run_prime_probe(cfg, protection, (0, 1), samples, seed, jobs=jobs)
     m = mutual_information(matrix)
     m0, ci = apparent_capacity_M0(matrix, nshuffles, f"{seed}:m0:{protection}")
     return CapacityReport(

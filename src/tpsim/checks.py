@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from .config import RunConfig
 from .core import (
@@ -52,8 +52,6 @@ from .microarch import (
     adheres,
     apply_op,
     flushable_reset,
-    offcore_flush_cost,
-    oncore_flush_cost,
     visible_projection,
 )
 from .selector import perturb_invisible, select_trace, select_trace_peeking
@@ -128,40 +126,62 @@ def _random_state(rng: random.Random, cfg: RunConfig,
                           clock=rng.randrange(1 << 20))
 
 
-def _paired_oracles(key: str) -> tuple[NondetOracle, NondetOracle]:
-    return NondetOracle(key=key), NondetOracle(key=key)
+def _reroll_set(rng: random.Random, cfg: RunConfig, pools: dict[int, list[int]],
+                state: MicroArchState, j: int) -> MicroArchState:
+    """state with cache set j replaced by a fresh random set."""
+    adversarial = cfg.policy.replacement == "adversarial"
+    fresh = _random_set(rng, cfg.geometry, cfg.cost_model, pools[j], adversarial)
+    return replace(state, sets=state.sets[:j] + (fresh,) + state.sets[j + 1:])
 
 
 # --- cost locality ---------------------------------------------------------------
+
+def _paired_apply(cfg: RunConfig, s1: MicroArchState, s2: MicroArchState, op,
+                  key: str, sets: Collection[int] = (),
+                  flushable: bool = False) -> tuple[str | None, MicroArchState]:
+    """Apply op to two states that agree on all it may depend on, under paired
+    oracles.  Both must pay the same cost.  The parts op may write (the given
+    cache sets, and the flushable words if flushable) must come out equal in
+    both successors; every other part must come through untouched in each.
+    Returns the first problem, or None, and s1's successor."""
+    r1 = apply_op(s1, op, NondetOracle(key=key), cfg.geometry, cfg.cost_model, cfg.policy)
+    r2 = apply_op(s2, op, NondetOracle(key=key), cfg.geometry, cfg.cost_model, cfg.policy)
+    name = type(op).__name__
+    if r1.clock - s1.clock != r2.clock - s2.clock:
+        return f"{name} cost differs between states that agree on all it may read", r1
+    writable = [flushable] + [i in sets for i in range(len(s1.sets))]
+    parts = zip(writable, (s1.flushable,) + s1.sets, (s2.flushable,) + s2.sets,
+                (r1.flushable,) + r1.sets, (r2.flushable,) + r2.sets)
+    for k, (w, a, b, ra, rb) in enumerate(parts):
+        if w and ra != rb:
+            bad = "left {} depending on unrelated state"
+        elif not w and not (ra is a and rb is b) and (ra != a or rb != b):
+            bad = "wrote {}, which it may not touch"
+        else:
+            continue
+        return f"{name} " + bad.format(f"set {k - 1}" if k else "the flushable words"), r1
+    return None, r1
+
 
 def check_access_cost_locality(cfg: RunConfig, trials: int, seed: object) -> CheckResult:
     """Perturbing any set other than the accessed line's own leaves the access
     cost and the accessed set's new content unchanged."""
     res = CheckResult("access-cost-locality", trials)
-    g, cm = cfg.geometry, cfg.cost_model
+    g = cfg.geometry
     pools = _set_pools(cfg)
     rng = random.Random(f"{seed}:access-locality")
     lines = sorted(universe_lines(cfg.universe_pages, g))
-    adversarial = cfg.policy.replacement == "adversarial"
     for t in range(trials):
         s1 = _random_state(rng, cfg, pools)
         p = rng.choice(lines)
         idx = set_index_of(p, g)
         others = [i for i in range(g.num_sets) if i != idx and pools[i]]
-        j = rng.choice(others)
-        s2 = replace(s1, sets=s1.sets[:j] + (
-            _random_set(rng, g, cm, pools[j], adversarial),
-        ) + s1.sets[j + 1:])
+        s2 = _reroll_set(rng, cfg, pools, s1, rng.choice(others))
         op = Read(rng.getrandbits(32), p) if rng.random() < 0.75 else Write(rng.getrandbits(32), p)
-        o1, o2 = _paired_oracles(f"{seed}:al:{t}")
-        r1 = apply_op(s1, op, o1, g, cm, cfg.policy)
-        r2 = apply_op(s2, op, o2, g, cm, cfg.policy)
-        if r1.clock - s1.clock != r2.clock - s2.clock:
-            res.fail(t, f"access cost changed with set {j} while touching set {idx}")
-        elif r1.sets[idx] != r2.sets[idx]:
-            res.fail(t, f"set {idx} post-state depends on unrelated set {j}")
-        elif r1.flushable != r2.flushable:
-            res.fail(t, "flushable mix depends on an unrelated cache set")
+        bad, _ = _paired_apply(cfg, s1, s2, op, f"{seed}:al:{t}",
+                               sets={idx}, flushable=True)
+        if bad:
+            res.fail(t, bad)
     return res
 
 
@@ -169,41 +189,23 @@ def check_offcore_flush_locality(cfg: RunConfig, trials: int, seed: object) -> C
     """An off-core flush is local to the sets its targets collide with: cost
     ignores other sets, and other sets come through untouched."""
     res = CheckResult("offcore-flush-locality", trials)
-    g, cm = cfg.geometry, cfg.cost_model
+    g = cfg.geometry
     pools = _set_pools(cfg)
     rng = random.Random(f"{seed}:offcore-locality")
     lines = sorted(universe_lines(cfg.universe_pages, g))
-    adversarial = cfg.policy.replacement == "adversarial"
     for t in range(trials):
         s1 = _random_state(rng, cfg, pools)
         targets = frozenset(rng.sample(lines, rng.randint(1, 3)))
         indices = {set_index_of(a, g) for a in targets}
         others = [i for i in range(g.num_sets) if i not in indices and pools[i]]
-        j = rng.choice(others)
-        s2 = replace(s1, sets=s1.sets[:j] + (
-            _random_set(rng, g, cm, pools[j], adversarial),
-        ) + s1.sets[j + 1:])
-        if offcore_flush_cost(s1, targets, g, cm) != offcore_flush_cost(s2, targets, g, cm):
-            res.fail(t, f"flush cost depends on non-target set {j}")
-            continue
-        op = OffCoreFlush(targets)
-        o1, o2 = _paired_oracles(f"{seed}:ol:{t}")
-        r1 = apply_op(s1, op, o1, g, cm, cfg.policy)
-        r2 = apply_op(s2, op, o2, g, cm, cfg.policy)
-        bad = None
-        for i in range(g.num_sets):
-            want1 = s1.sets[i] if i not in indices else None
-            if i in indices:
-                if not r1.sets[i].is_empty() or r1.sets[i].meta != 0:
-                    bad = f"target set {i} not scrubbed"
-                    break
-            elif r1.sets[i] != want1 or r2.sets[i] != s2.sets[i]:
-                bad = f"non-target set {i} modified"
-                break
+        s2 = _reroll_set(rng, cfg, pools, s1, rng.choice(others))
+        bad, r1 = _paired_apply(cfg, s1, s2, OffCoreFlush(targets), f"{seed}:ol:{t}",
+                                sets=indices)
+        unscrubbed = [i for i in sorted(indices) if not r1.sets[i].is_empty() or r1.sets[i].meta]
+        if bad is None and unscrubbed:
+            bad = f"target set {unscrubbed[0]} not scrubbed"
         if bad:
             res.fail(t, bad)
-        elif r1.clock - s1.clock != r2.clock - s2.clock:
-            res.fail(t, "applied flush cost differs between the state pair")
     return res
 
 
@@ -211,24 +213,17 @@ def check_oncore_flush_dependence(cfg: RunConfig, trials: int, seed: object) -> 
     """The on-core flush cost is a function of the flushable words alone, and
     its effect resets them regardless of everything else."""
     res = CheckResult("oncore-flush-dependence", trials)
-    g, cm = cfg.geometry, cfg.cost_model
     pools = _set_pools(cfg)
     rng = random.Random(f"{seed}:oncore-dependence")
     for t in range(trials):
         s1 = _random_state(rng, cfg, pools)
         s2 = replace(_random_state(rng, cfg, pools), flushable=s1.flushable)
-        if oncore_flush_cost(s1, cm) != oncore_flush_cost(s2, cm):
-            res.fail(t, "cost differs between states with equal flushable words")
-            continue
-        o1, o2 = _paired_oracles(f"{seed}:on:{t}")
-        r1 = apply_op(s1, OnCoreFlush(), o1, g, cm, cfg.policy)
-        r2 = apply_op(s2, OnCoreFlush(), o2, g, cm, cfg.policy)
-        if r1.clock - s1.clock != r2.clock - s2.clock:
-            res.fail(t, "applied flush cost differs between the state pair")
-        elif r1.flushable != flushable_reset(cm.flushable_words):
-            res.fail(t, "flushable words not reset")
-        elif r1.sets != s1.sets:
-            res.fail(t, "on-core flush touched the cache sets")
+        bad, r1 = _paired_apply(cfg, s1, s2, OnCoreFlush(), f"{seed}:on:{t}",
+                                flushable=True)
+        if bad is None and r1.flushable != flushable_reset(cfg.cost_model.flushable_words):
+            bad = "flushable words not reset"
+        if bad:
+            res.fail(t, bad)
     return res
 
 
@@ -317,14 +312,11 @@ def check_selector_dependency(cfg: RunConfig, trials: int, seed: object,
             res.fail(t, "perturbation leaked into the visible projection")
             continue
         key = f"{seed}:trace:{t}"
-        if peeking:
-            t1 = select_trace_peeking(ta, s1, v1, cfg.amap, budget, key,
-                                      line_size=g.line_size)
-            t2 = select_trace_peeking(ta, s2, v2, cfg.amap, budget, key,
-                                      line_size=g.line_size)
-        else:
-            t1 = select_trace(ta, v1, cfg.amap, budget, key, line_size=g.line_size)
-            t2 = select_trace(ta, v2, cfg.amap, budget, key, line_size=g.line_size)
+        t1, t2 = (
+            select_trace_peeking(ta, s, v, cfg.amap, budget, key, line_size=g.line_size)
+            if peeking else select_trace(ta, v, cfg.amap, budget, key, line_size=g.line_size)
+            for s, v in ((s1, v1), (s2, v2))
+        )
         if t1 != t2:
             res.fail(t, "trace changed under an invisible perturbation")
     return res
@@ -396,9 +388,16 @@ def audit_records(cfg: RunConfig, records: Iterable[StepRecord]) -> list[str]:
     hard = {"ta-violation", "invariant", "bad-input"}
     for n, rec in enumerate(records):
         where = f"record {n} (slice {rec.slice_index}, {rec.kind})"
-        ok, at = adheres(rec.trace, rec.ta_after, cfg.amap, policy.kernel_globals)
+        trace = rec.trace
+        if rec.kind == "switch":
+            # The prefetch template's walk of the kernel globals is kernel
+            # work, exempt from adherence like kernel_trace.
+            trace = tuple(op for op in trace if not (
+                type(op) is Read and op.v == policy.kernel_vbase + op.p
+                and op.p in policy.kernel_globals))
+        ok, at = adheres(trace, rec.ta_after, cfg.amap, policy.kernel_globals)
         if not ok:
-            problems.append(f"{where}: trace op {at} does not adhere to the touched set")
+            problems.append(f"{where}: trace op {trace[at]} does not adhere to the touched set")
         if any(f.kind in hard for f in rec.failures) and rec.trace != ():
             problems.append(f"{where}: hard failure yet a trace was applied")
         if rec.kind == "switch":
@@ -426,11 +425,10 @@ def audit_records(cfg: RunConfig, records: Iterable[StepRecord]) -> list[str]:
     return problems
 
 
-def check_run_invariants(cfg: RunConfig, trials: int, seed: object,
-                         slices: int | None = None) -> CheckResult:
+def check_run_invariants(cfg: RunConfig, trials: int, seed: object) -> CheckResult:
     """Benign random runs finish with zero failures and a clean audit."""
     res = CheckResult("run-invariants", trials)
-    nslices = slices if slices is not None else 2 * len(cfg.policy.domains)
+    nslices = 2 * len(cfg.policy.domains)
     for t in range(trials):
         rng = random.Random(f"{seed}:run:{t}")
         schedule = _random_schedule(cfg, nslices, rng, _random_benign_input, 3)
@@ -448,12 +446,11 @@ def check_run_invariants(cfg: RunConfig, trials: int, seed: object,
     return res
 
 
-def check_ta_adherence(cfg: RunConfig, trials: int, seed: object,
-                       slices: int | None = None) -> CheckResult:
+def check_ta_adherence(cfg: RunConfig, trials: int, seed: object) -> CheckResult:
     """Hostile fuzzing: every recorded trace still adheres to the touched set,
     and untracked accesses surface as TA violations rather than traces."""
     res = CheckResult("ta-adherence", trials)
-    nslices = slices if slices is not None else 2 * len(cfg.policy.domains)
+    nslices = 2 * len(cfg.policy.domains)
     for t in range(trials):
         rng = random.Random(f"{seed}:fuzz:{t}")
         schedule = _random_schedule(cfg, nslices, rng, _random_fuzz_input, 3)

@@ -16,7 +16,7 @@ other domains' phases are independent per run.  Schedules share their shape
 (which step kinds happen where), so the runs stay in lockstep; only the other
 domains' chosen values differ.
 
-A checker that can only say yes is worthless, so mutations() lists six
+A checker that can only say yes is worthless, so MUTATIONS lists six
 deliberate defects, each of which the checker must catch: dropping either
 flush, dropping the pad, a colouring that overlaps domains, an abstract
 information flow, and a trace selector that keys on hidden state.
@@ -38,6 +38,7 @@ from .core import (
     validate_policy,
 )
 from .kernel import (
+    HONEST_MECHANISM,
     AbstractState,
     Input,
     NOOP,
@@ -69,11 +70,6 @@ MUTATIONS = (
     "ta-leak",
     "selector-peek",
 )
-
-
-def mutations() -> tuple[str, ...]:
-    """Identifiers of the plantable defects, exactly six of them."""
-    return MUTATIONS
 
 
 @dataclass(frozen=True)
@@ -138,20 +134,13 @@ def _diff_views(a: ObserverView, b: ObserverView, include_micro: bool) -> str | 
 def low_equiv(s1: AbstractState, s2: AbstractState,
               s_mu1: MicroArchState, s_mu2: MicroArchState,
               observer: int, policy: DomainPolicy, g: CacheGeometry,
-              role: str | None = None,
               include_micro: bool = True) -> tuple[bool, str | None]:
     """Observer equivalence of two state pairs; names the first odd field out.
 
-    The role is normally derived from who is current; passing it explicitly
-    pins the projection for single-state-pair comparisons in tests.
+    The observer's role follows from who is current in each abstract state.
     """
     va = observer_view(s1, s_mu1, observer, policy, g)
     vb = observer_view(s2, s_mu2, observer, policy, g)
-    if role is not None:
-        va = replace(va, role=role, ta=va.ta if role == "executing" else None,
-                     micro=visible_projection(s_mu1, observer, policy, role, g))
-        vb = replace(vb, role=role, ta=vb.ta if role == "executing" else None,
-                     micro=visible_projection(s_mu2, observer, policy, role, g))
     diff = _diff_views(va, vb, include_micro)
     return (diff is None, diff)
 
@@ -178,8 +167,8 @@ def _pick_kind(rng: random.Random) -> str:
     return NOOP
 
 
-def build_schedule(cfg: RunConfig, observer: int, trial_key: str, run_tag: str,
-                   steps_per_slice: int = 3) -> dict[int, list[list[Input]]]:
+def build_schedule(cfg: RunConfig, observer: int, trial_key: str,
+                   run_tag: str) -> dict[int, list[list[Input]]]:
     """One run's inputs.  Shape (step kinds, counts) is shared across a pair;
     values are shared for the observer and tagged per run for everyone else."""
     policy = cfg.policy
@@ -200,7 +189,9 @@ def build_schedule(cfg: RunConfig, observer: int, trial_key: str, run_tag: str,
             shape_rng = random.Random(f"{trial_key}:shape:{dom}:{rot}")
             value_rng = random.Random(f"{trial_key}:value:{dom}:{rot}{tag}")
             batch = []
-            for _ in range(shape_rng.randint(1, steps_per_slice)):
+            # At most three inputs: at the reference costs, three worst cases
+            # (3 x 2,573 cycles) fit in one 8,192-cycle slice.
+            for _ in range(shape_rng.randint(1, 3)):
                 kind = _pick_kind(shape_rng)
                 if kind in (NOOP, SYS_ALLOC):
                     batch.append(Input(kind=kind))
@@ -232,17 +223,22 @@ def _pair_oracle_factory(pair_key: str, observer: int, run_tag: str):
 
 # --- mutations ------------------------------------------------------------------
 
+# Mutations that drop one operation class from the switch template.
+_MECHANISM_DROPS = {
+    "no-oncore-flush": OnCoreFlush,
+    "no-offcore-global-flush": OffCoreFlush,
+    "no-pad": PadTo,
+}
+
+
 def apply_mutation(cfg: RunConfig, options: RunOptions, mutation: str | None,
                    observer: int) -> tuple[RunConfig, RunOptions]:
     """Translate a mutation id into a config or option transform."""
     if mutation in (None, "none"):
         return cfg, options
-    if mutation == "no-oncore-flush":
-        return cfg, replace(options, skip_oncore_flush=True)
-    if mutation == "no-offcore-global-flush":
-        return cfg, replace(options, skip_offcore_flush=True)
-    if mutation == "no-pad":
-        return cfg, replace(options, skip_pad=True)
+    if mutation in _MECHANISM_DROPS:
+        drop = _MECHANISM_DROPS[mutation]
+        return cfg, replace(options, mechanism=tuple(c for c in options.mechanism if c is not drop))
     if mutation == "ta-leak":
         return cfg, replace(options, ta_leak=True)
     if mutation == "selector-peek":
@@ -368,9 +364,6 @@ def _field_values(va: ObserverView, vb: ObserverView, fieldname: str) -> tuple[s
     return ra[:clip], rb[:clip]
 
 
-_HONEST_MECHANISM_SHAPE = (OffCoreFlush, OnCoreFlush, PadTo)
-
-
 def _run_once(cfg: RunConfig, options: RunOptions, runner_seed: str,
               observer: int, oracle_factory, trace_seed_fn):
     opts = replace(
@@ -386,8 +379,8 @@ def _run_once(cfg: RunConfig, options: RunOptions, runner_seed: str,
         for f in record.failures:
             hypothesis.append(f"{record.kind} slice {record.slice_index}: {f}")
         if record.kind == "switch":
-            shapes = tuple(type(op) for op in record.mechanism_trace)
-            if shapes != _HONEST_MECHANISM_SHAPE:
+            shapes = tuple(type(op) for op in record.trace)
+            if shapes != HONEST_MECHANISM:
                 hypothesis.append(
                     f"switch slice {record.slice_index}: mechanism trace is "
                     f"{[t.__name__ for t in shapes]}, not the exact flush/flush/pad sequence"
@@ -410,10 +403,9 @@ def check_confidentiality(
     seed: object,
     variant: str = "u-mu",
     mutation: str | None = None,
-    steps_per_slice: int = 3,
-    stop_on_violation: bool = True,
 ) -> ConfidentialityReport:
-    """Run the two-run checker for either property variant."""
+    """Run the two-run checker for either property variant.  It stops at the
+    first trial that aborts or shows a violation."""
     if variant not in ("u", "u-mu"):
         raise ConfigError(f"unknown variant {variant!r}; know u, u-mu")
     if trials < 1:
@@ -453,8 +445,7 @@ def check_confidentiality(
                 oracle_factory=_pair_oracle_factory(trial_key, observer, tag),
                 trace_seed_fn=trace_seed_fn,
             )
-            schedule = build_schedule(cfg, observer, trial_key, tag,
-                                      steps_per_slice=steps_per_slice)
+            schedule = build_schedule(cfg, observer, trial_key, tag)
             try:
                 runner.run(schedule=schedule)
             except RunError as e:
@@ -472,9 +463,7 @@ def check_confidentiality(
             if aborted:
                 break
         if aborted:
-            if stop_on_violation:
-                break
-            continue
+            break
 
         va, vb = sides["A"], sides["B"]
         if len(va) != len(vb):
@@ -495,17 +484,7 @@ def check_confidentiality(
                         a=a_repr, b=b_repr,
                     ))
                     break
-        if report.violations and stop_on_violation:
+        if report.violations:
             break
 
     return report
-
-
-def check_confidentiality_u(cfg: RunConfig, observer: int, trials: int,
-                            seed: object, **kw) -> ConfidentialityReport:
-    return check_confidentiality(cfg, observer, trials, seed, variant="u", **kw)
-
-
-def check_confidentiality_u_mu(cfg: RunConfig, observer: int, trials: int,
-                               seed: object, **kw) -> ConfidentialityReport:
-    return check_confidentiality(cfg, observer, trials, seed, variant="u-mu", **kw)

@@ -281,9 +281,7 @@ def _check_objects(cfg: RunConfig) -> None:
             p += cfg.geometry.page_size
 
 
-def validate_config(cfg: RunConfig, *, check_image_colours: bool = True) -> None:
-    problems = validate_policy(
-        cfg.policy, cfg.amap, cfg.geometry, check_image_colours=check_image_colours
-    )
+def validate_config(cfg: RunConfig) -> None:
+    problems = validate_policy(cfg.policy, cfg.amap, cfg.geometry)
     if problems:
         raise ConfigError("policy: " + "; ".join(problems))

@@ -169,10 +169,6 @@ class AddressMap:
         return ",".join(f"{v:x}:{p:x}" for v, p in sorted(self.pages.items()))
 
 
-def translate(amap: AddressMap, v: int) -> int:
-    return amap.translate(v)
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """Static per-domain resources: colours, kernel image pages, user pages."""
@@ -235,15 +231,8 @@ def validate_policy(
     policy: DomainPolicy,
     amap: AddressMap,
     g: CacheGeometry,
-    *,
-    check_image_colours: bool = True,
 ) -> list[str]:
-    """Check the static partitioning discipline; returns a list of problems.
-
-    check_image_colours exists because the covert-channel harness deliberately
-    builds a policy whose kernel images are shared between domains, which is
-    exactly the configuration the discipline forbids.
-    """
+    """Check the static partitioning discipline; returns a list of problems."""
     problems: list[str] = []
 
     claimed: dict[int, int] = {}
@@ -258,14 +247,13 @@ def validate_policy(
 
     global_pages = policy.global_pages(g)
     for d in policy.domains:
-        if check_image_colours:
-            for page in sorted(d.kernel_image):
-                col = colour_of(page, g)
-                if col not in d.colours:
-                    problems.append(
-                        f"domain {d.ident}: kernel image page {page:#x} has colour {col}, "
-                        f"outside the domain's colours"
-                    )
+        for page in sorted(d.kernel_image):
+            col = colour_of(page, g)
+            if col not in d.colours:
+                problems.append(
+                    f"domain {d.ident}: kernel image page {page:#x} has colour {col}, "
+                    f"outside the domain's colours"
+                )
         for vpage in sorted(d.user_region):
             try:
                 ppage = amap.translate_page(vpage)

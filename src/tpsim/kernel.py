@@ -13,9 +13,9 @@ trace selector picks.
 A domain switch runs in four phases.  old_clean does the outgoing scheduler
 bookkeeping (a deterministic walk of the kernel globals).  An optional dirty
 phase, off by default, may touch both domains' kernel images.  The mechanism
-phase performs exactly an off-core flush of the kernel globals, the on-core
-microreset, and a pad to the switch deadline; the touched set is emptied here
-and nowhere else.  new_clean installs the next domain and resets its slot.
+phase applies the switch template (HONEST_MECHANISM: flush off-core, flush
+on-core, pad to the deadline); the touched set is emptied here and nowhere
+else.  new_clean installs the next domain and resets its slot.
 
 Kernel-global and kernel-image accesses never enter the touched set.  They
 are not user-controlled, so the partitioning invariant handles them by a
@@ -42,7 +42,6 @@ from .core import (
     set_index_of,
 )
 from .microarch import (
-    CostModel,
     MicroArchState,
     NondetOracle,
     OffCoreFlush,
@@ -138,7 +137,6 @@ class StepRecord:
     ta_after: frozenset[int]
     kernel_trace: Trace          # fixed kernel accesses, exempt from touched-set adherence
     trace: Trace                 # selector-chosen (steps) or mechanism (switches)
-    mechanism_trace: Trace       # switches only
     s_mu_before: MicroArchState
     s_mu_after: MicroArchState
     failures: tuple[Failure, ...] = ()
@@ -178,20 +176,14 @@ def access_mem(state: AbstractState, v: int, pending: list[tuple[int, bool]],
 
 
 def partition_subset_invariant(
-    ta: "Iterable[int] | AbstractState", current=None, policy=None, amap=None, g=None,
+    ta: Iterable[int], current: int, policy: DomainPolicy, amap: AddressMap,
+    g: CacheGeometry,
 ) -> tuple[bool, tuple[int, ...]]:
     """Every touched page must translate into the current domain's colours.
 
     Kernel-global pages are the one static exception.  A page with no
     translation at all is also a violation.  Returns (ok, witness vaddrs).
-    Callable as (state, geometry) or with the parts spelled out as
-    (ta, current, policy, amap, geometry).
     """
-    if isinstance(ta, AbstractState):
-        state, g = ta, current if g is None else g
-        ta, current, policy, amap = state.ta, state.current, state.policy, state.amap
-        if not isinstance(g, CacheGeometry):
-            raise TypeError("partition_subset_invariant(state, g) needs the geometry")
     colours = policy.domain(current).colours
     global_pages = policy.global_pages(g)
     witnesses = []
@@ -210,7 +202,19 @@ def partition_subset_invariant(
 
 # --- run options ---------------------------------------------------------------
 
-TraceChooser = Callable[..., Trace]
+# The switch mechanism as an ordered template of operation classes.  Read
+# stands for a walk of the kernel globals; each other class is one operation
+# (the off-core flush targets the globals, the pad targets the deadline).
+HONEST_MECHANISM = (OffCoreFlush, OnCoreFlush, PadTo)
+PREFETCH_MECHANISM = (Read, OnCoreFlush, PadTo)
+
+# How each class of the template expands at a switch.
+_TEMPLATE_OPS = {
+    Read: lambda runner, deadline: runner.globals_walk(),
+    OffCoreFlush: lambda runner, deadline: (OffCoreFlush(runner.policy.kernel_globals),),
+    OnCoreFlush: lambda runner, deadline: (OnCoreFlush(),),
+    PadTo: lambda runner, deadline: (PadTo(deadline),),
+}
 
 
 @dataclass
@@ -218,18 +222,14 @@ class RunOptions:
     """Behavioural switches for a run.
 
     collect keeps a run going past hard failures (they are still recorded).
-    The mechanism and skip_* fields exist for the mutation harness and the
-    flush-versus-prefetch experiment; default values give the honest kernel.
+    mechanism is the switch template; the mutation harness and the attack
+    variants edit it, and the default gives the honest kernel.
     """
 
     collect: bool = False
-    mechanism: str = "flush"            # flush | prefetch
-    skip_oncore_flush: bool = False
-    skip_offcore_flush: bool = False
-    skip_pad: bool = False
+    mechanism: tuple[type, ...] = HONEST_MECHANISM
     selector_peek: bool = False
     ta_leak: bool = False
-    budget: int | None = None
     record_cb: Optional[Callable[["StepRecord", "SystemRunner"], None]] = None
     retain_records: bool = True
     oracle_factory: Optional[Callable[[int, int, str], NondetOracle]] = None
@@ -311,10 +311,6 @@ class SystemRunner:
             return self.options.trace_seed_fn(self.slice_index, self._step_in_slice)
         return f"{self.seed}:trace:{self.slice_index}:{self._step_in_slice}"
 
-    @property
-    def budget(self) -> int:
-        return self.options.budget or self.cfg.analysis.trace_budget
-
     # -- fixed kernel walks --
 
     def globals_walk(self) -> Trace:
@@ -340,6 +336,28 @@ class SystemRunner:
         self.failures.append(failure)
         if not self.options.collect:
             raise RunError(failure)
+
+    def _apply(self, trace: Trace, oracle: NondetOracle, failures: list[Failure]) -> Trace:
+        """Apply a trace to the hardware state; returns the operations that ran.
+
+        A failing operation is added to failures, and the state keeps exactly
+        the operations before it.
+        """
+        try:
+            self.micro = apply_trace(self.micro, trace, oracle, self.g, self.cm, self.policy)
+        except TraceError as e:
+            self.micro = e.state
+            if isinstance(e.cause, PadViolation):
+                # Only the switch mechanism pads.
+                failures.append(Failure(
+                    kind="pad-violation",
+                    detail=f"switch work ran past the deadline "
+                           f"(clock {e.cause.now}, deadline {e.cause.target})",
+                ))
+            else:
+                failures.append(Failure("trace-error", str(e)))
+            return trace[:e.index]
+        return trace
 
     def _emit(self, record: StepRecord) -> None:
         if self.options.retain_records:
@@ -430,7 +448,7 @@ class SystemRunner:
         elif input.kind == RAW_ACCESS:
             user_ops = self.g.lines_per_page
         else:
-            user_ops = self.budget
+            user_ops = self.cfg.analysis.trace_budget
         return (kernel_ops + user_ops) * per_op
 
     # -- one step -------------------------------------------------------------
@@ -462,7 +480,7 @@ class SystemRunner:
             record = StepRecord(
                 kind=kind, slice_index=self.slice_index, domain=domain, input=input,
                 ta_before=ta_before, ta_after=frozenset(st.ta),
-                kernel_trace=(), trace=(), mechanism_trace=(),
+                kernel_trace=(), trace=(),
                 s_mu_before=mu_before, s_mu_after=mu_before,
                 failures=tuple(failures),
             )
@@ -479,22 +497,18 @@ class SystemRunner:
             vis = visible_projection(self.micro, domain, self.policy, "executing", self.g)
             if self.options.selector_peek:
                 trace = select_trace_peeking(
-                    footprint, self.micro, vis, self.amap, self.budget,
+                    footprint, self.micro, vis, self.amap, self.cfg.analysis.trace_budget,
                     self._trace_seed(), line_size=self.g.line_size,
                 )
             else:
                 trace = select_trace(
-                    footprint, vis, self.amap, self.budget,
+                    footprint, vis, self.amap, self.cfg.analysis.trace_budget,
                     self._trace_seed(), line_size=self.g.line_size,
                 )
 
         oracle = self._oracle(domain, f"step:{self._step_in_slice}")
-        try:
-            self.micro = apply_trace(
-                self.micro, kernel_trace + trace, oracle, self.g, self.cm, self.policy
-            )
-        except TraceError as e:
-            failures.append(Failure("trace-error", str(e)))
+        applied = self._apply(kernel_trace + trace, oracle, failures)
+        kernel_trace, trace = applied[:len(kernel_trace)], applied[len(kernel_trace):]
 
         delta = self.micro.clock - mu_before.clock
         if delta > slot_before:
@@ -507,7 +521,7 @@ class SystemRunner:
         record = StepRecord(
             kind=kind, slice_index=self.slice_index, domain=domain, input=input,
             ta_before=ta_before, ta_after=frozenset(st.ta),
-            kernel_trace=kernel_trace, trace=trace, mechanism_trace=(),
+            kernel_trace=kernel_trace, trace=trace,
             s_mu_before=mu_before, s_mu_after=self.micro,
             failures=tuple(failures),
         )
@@ -551,45 +565,15 @@ class SystemRunner:
                 self.image_walk(old) + self.image_walk(new), key=lambda op: op.p,
             ))
 
-        oracle = self._oracle(old, "old_clean")
-        try:
-            self.micro = apply_trace(self.micro, kernel_trace, oracle, self.g, self.cm, self.policy)
-        except TraceError as e:
-            failures.append(Failure("trace-error", str(e)))
+        kernel_trace = self._apply(kernel_trace, self._oracle(old, "old_clean"), failures)
 
         # Phase 3, mechanism: scrub and pad.  The touched set is emptied here
         # and only here.
         st.ta.clear()
-        moracle = self._oracle(KERNEL_DOMAIN, "mechanism")
-        mech: list = []
-        if self.options.mechanism == "prefetch":
-            # Replace the targeted flush by sequential reads of the globals.
-            prefetch = self.globals_walk()
-            kernel_trace = kernel_trace + prefetch
-            try:
-                self.micro = apply_trace(self.micro, prefetch, moracle, self.g, self.cm, self.policy)
-            except TraceError as e:
-                failures.append(Failure("trace-error", str(e)))
-        elif not self.options.skip_offcore_flush:
-            mech.append(OffCoreFlush(self.policy.kernel_globals))
-        if not self.options.skip_oncore_flush:
-            mech.append(OnCoreFlush())
-        if not self.options.skip_pad:
-            mech.append(PadTo(deadline))
-        mechanism_trace = tuple(mech)
-
-        try:
-            self.micro = apply_trace(self.micro, mechanism_trace, moracle,
-                                     self.g, self.cm, self.policy)
-        except TraceError as e:
-            if isinstance(e.cause, PadViolation):
-                failures.append(Failure(
-                    kind="pad-violation",
-                    detail=f"switch work ran past the deadline "
-                           f"(clock {e.cause.now}, deadline {e.cause.target})",
-                ))
-            else:
-                failures.append(Failure("trace-error", str(e)))
+        template = tuple(op for cls in self.options.mechanism
+                         for op in _TEMPLATE_OPS[cls](self, deadline))
+        mechanism_ops = self._apply(template, self._oracle(KERNEL_DOMAIN, "mechanism"),
+                                    failures)
 
         # Phase 4, new_clean: install the next domain.  Pure bookkeeping, no
         # timed accesses, so the post-switch clock stays at the deadline.
@@ -602,8 +586,7 @@ class SystemRunner:
         record = StepRecord(
             kind="switch", slice_index=self.slice_index, domain=old, input=None,
             ta_before=ta_before, ta_after=frozenset(),
-            kernel_trace=kernel_trace, trace=mechanism_trace,
-            mechanism_trace=mechanism_trace,
+            kernel_trace=kernel_trace, trace=mechanism_ops,
             s_mu_before=mu_before, s_mu_after=self.micro,
             failures=tuple(failures),
         )
@@ -614,12 +597,13 @@ class SystemRunner:
         return record
 
     def _switch_postcondition_failures(self, deadline: int) -> list[Failure]:
+        """Postconditions of exactly the operation classes in the template."""
         out = []
-        opts = self.options
-        if not opts.skip_oncore_flush:
+        mechanism = self.options.mechanism
+        if OnCoreFlush in mechanism:
             if self.micro.flushable != flushable_reset(self.cm.flushable_words):
                 out.append(Failure("switch-postcondition", "flushable state not reset"))
-        if opts.mechanism == "flush" and not opts.skip_offcore_flush:
+        if OffCoreFlush in mechanism:
             for idx in self.policy.global_set_indices(self.g):
                 cset = self.micro.sets[idx]
                 if not cset.is_empty() or cset.meta != 0:
@@ -627,7 +611,7 @@ class SystemRunner:
                         "switch-postcondition",
                         f"kernel-global set {idx} not scrubbed",
                     ))
-        if not opts.skip_pad and self.micro.clock != deadline:
+        if PadTo in mechanism and self.micro.clock != deadline:
             out.append(Failure(
                 "switch-postcondition",
                 f"clock {self.micro.clock} does not sit on the deadline {deadline}",
@@ -688,6 +672,12 @@ class SystemRunner:
 
             self.domain_switch(tick)
             self.slice_index += 1
+
+        # A run that never got to some inputs says nothing about them.
+        for domain, queue in self._deferred.items():
+            if queue:
+                self._register(Failure("starved", f"domain {domain}: {len(queue)} "
+                                                  f"input(s) still deferred when the run ended"))
 
         return RunResult(
             records=self.records,

@@ -37,7 +37,6 @@ from .core import (
     DomainPolicy,
     ModelError,
     TranslationFault,
-    colour_of,
     set_index_of,
 )
 
@@ -57,12 +56,14 @@ class PadViolation(ModelError):
 
 
 class TraceError(ModelError):
-    """Applying a trace failed; index points at the offending operation."""
+    """Applying a trace failed; index points at the offending operation and
+    state is what the operations before it left."""
 
-    def __init__(self, index: int, cause: Exception):
+    def __init__(self, index: int, cause: Exception, state: "MicroArchState"):
         super().__init__(f"trace operation {index} failed: {cause}")
         self.index = index
         self.cause = cause
+        self.state = state
 
 
 # --- trace operations -------------------------------------------------------
@@ -537,7 +538,8 @@ def apply_trace(state: MicroArchState, trace: Trace, oracle: NondetOracle,
                       & lane_mask) ^ (mix_word * ones)
             clock += cost + jitter
     except ModelError as e:
-        raise TraceError(i, e) from e
+        # No operation changes the working copy before it has drawn its words.
+        raise TraceError(i, e, _freeze(base, work, words, packed, clock)) from e
     return _freeze(base, work, words, packed, clock)
 
 

@@ -20,9 +20,6 @@ from .core import AddressMap, CacheGeometry, DomainPolicy, set_index_of
 from .microarch import (
     CacheSet,
     MicroArchState,
-    OffCoreFlush,
-    OnCoreFlush,
-    PadTo,
     Read,
     Trace,
     TraceOp,
@@ -66,17 +63,14 @@ def select_trace(
     seed: object,
     *,
     line_size: int = 64,
-    allow_flushes: bool = False,
-    pad_to: int | None = None,
     extra_entropy: str = "",
 ) -> Trace:
-    """Choose a trace over the touched set's lines, at most budget long.
+    """Choose a trace of reads and writes over the touched set's lines, at
+    most budget long.
 
     The result depends on exactly (ta, visible, amap, budget, seed): the
     random source is the seed combined with a digest of the visible
-    projection, so hidden state cannot influence the choice.  By default only
-    reads and writes are emitted, which is what kernel steps use; flush and
-    pad operations can be enabled for exercising the full operation space.
+    projection, so hidden state cannot influence the choice.
     """
     if budget < 1:
         raise ValueError(f"trace budget must be >= 1, got {budget}")
@@ -92,19 +86,16 @@ def select_trace(
 
     lines = _ta_lines(ta_pages, amap, line_size)
     mode = rng.random()
-    if mode < 0.90:
-        # Permutation of every permitted line, possibly truncated by budget.
-        chosen = list(lines)
-        rng.shuffle(chosen)
-        chosen = chosen[:budget]
-    elif mode < 0.95:
+    if 0.90 <= mode < 0.95:
         k = rng.randint(1, min(len(lines), budget))
         chosen = rng.sample(lines, k)
     else:
+        # Permutation of every permitted line, possibly truncated by budget;
+        # the top 5% of modes then pad it with repeats.
         chosen = list(lines)
         rng.shuffle(chosen)
         chosen = chosen[:budget]
-        while len(chosen) < budget and rng.random() < 0.7:
+        while mode >= 0.95 and len(chosen) < budget and rng.random() < 0.7:
             chosen.append(rng.choice(lines))
 
     ops: list[TraceOp] = []
@@ -114,22 +105,6 @@ def select_trace(
             ops.append(Write(v, p))
         else:
             ops.append(Read(v, p))
-
-    if allow_flushes and ops:
-        decorated: list[TraceOp] = []
-        phys = sorted(amap.translate_page(vp) for vp in ta_pages)
-        for op in ops:
-            decorated.append(op)
-            r = rng.random()
-            if r < 0.05:
-                decorated.append(OnCoreFlush())
-            elif r < 0.10:
-                k = rng.randint(1, min(3, len(phys)))
-                decorated.append(OffCoreFlush(frozenset(rng.sample(phys, k))))
-        if pad_to is not None and rng.random() < 0.5:
-            decorated.append(PadTo(pad_to))
-        ops = decorated[:budget] if len(decorated) > budget else decorated
-
     return tuple(ops)
 
 

@@ -19,6 +19,7 @@ from tpsim.channel import (
     write_matrix_csv,
 )
 from tpsim.core import ConfigError
+from tpsim.kernel import HONEST_MECHANISM, PREFETCH_MECHANISM
 
 
 def mi_by_hand(counts):
@@ -224,11 +225,11 @@ def test_attack_variant_shapes(ref_cfg):
     for p in ("on", "targeted-flush"):
         cfg, opts = attack_variant(ref_cfg, p)
         assert cfg is ref_cfg
-        assert opts.mechanism == "flush" and not opts.skip_oncore_flush
+        assert opts.mechanism == HONEST_MECHANISM
     cfg, opts = attack_variant(ref_cfg, "prefetch")
-    assert opts.mechanism == "prefetch"
+    assert opts.mechanism == PREFETCH_MECHANISM
     cfg, opts = attack_variant(ref_cfg, "off")
-    assert opts.skip_oncore_flush and opts.skip_offcore_flush and opts.skip_pad
+    assert opts.mechanism == ()
     spy, trojan = cfg.policy.domain_ids()[:2]
     assert cfg.policy.domain(trojan).kernel_image \
         == cfg.policy.domain(spy).kernel_image

@@ -1,7 +1,10 @@
 """The property and invariant check suites, plus their own failure modes."""
 
+import dataclasses
+
 import pytest
 
+from tpsim import checks, microarch
 from tpsim.checks import (
     CheckResult,
     INVARIANT_CHECKS,
@@ -14,7 +17,8 @@ from tpsim.checks import (
     run_suite,
 )
 from tpsim.core import ConfigError
-from tpsim.kernel import RunOptions, run_system
+from tpsim.kernel import PREFETCH_MECHANISM, RunOptions, run_system
+from tpsim.microarch import CacheSet, OffCoreFlush, OnCoreFlush, PadTo, Read, Write
 
 
 def test_property_suite_passes_on_both_configs(ref_cfg, adv_cfg):
@@ -71,10 +75,18 @@ def test_audit_flags_doctored_records(ref_cfg):
 
 
 def test_audit_catches_skipped_mechanism(ref_cfg):
-    opts = RunOptions(skip_offcore_flush=True, collect=True)
+    opts = RunOptions(mechanism=(OnCoreFlush, PadTo), collect=True)
     res = run_system(ref_cfg, seed="skip", slices=2, options=opts)
     problems = audit_records(ref_cfg, res.records)
     assert any("not scrubbed" in p for p in problems)
+
+
+def test_audit_of_a_prefetch_run_reports_only_the_unscrubbed_globals(ref_cfg):
+    opts = RunOptions(mechanism=PREFETCH_MECHANISM, collect=True)
+    res = run_system(ref_cfg, seed=1, slices=2, options=opts)
+    problems = audit_records(ref_cfg, res.records)
+    assert problems
+    assert all("not scrubbed" in p for p in problems), problems
 
 
 def test_fuzz_and_benign_runners_directly(ref_cfg):
@@ -92,3 +104,74 @@ def test_check_result_formatting():
     text = r.format()
     assert text.startswith("FAIL demo (7/10 cases)")
     assert text.count("\n") == 5   # only the first five are printed
+
+
+# --- negative controls: each hardware locality check can report FAIL ----------
+
+def _unrelated(state):
+    """A cost term that every cache set feeds, related to the op or not."""
+    return sum(len(s.resident()) for s in state.sets)
+
+
+def _assert_fails_on_cost(result):
+    assert not result.ok and result.format().startswith("FAIL")
+    assert "cost" in result.failures[0], result.failures[0]
+
+
+def test_access_cost_locality_catches_a_cost_from_an_unrelated_set(ref_cfg, monkeypatch):
+    real = checks.apply_op
+
+    def leaky(state, op, *rest):
+        out = real(state, op, *rest)
+        if isinstance(op, (Read, Write)):
+            out = dataclasses.replace(out, clock=out.clock + _unrelated(state))
+        return out
+
+    monkeypatch.setattr(checks, "apply_op", leaky)
+    _assert_fails_on_cost(checks.check_access_cost_locality(ref_cfg, 50, "neg"))
+
+
+def test_offcore_flush_locality_catches_a_cost_from_a_non_target_set(ref_cfg, monkeypatch):
+    real = microarch.offcore_flush_cost
+    monkeypatch.setattr(microarch, "offcore_flush_cost",
+                        lambda state, *rest: real(state, *rest) + _unrelated(state))
+    _assert_fails_on_cost(checks.check_offcore_flush_locality(ref_cfg, 50, "neg"))
+
+
+def test_oncore_flush_dependence_catches_a_cost_from_the_cache_sets(ref_cfg, monkeypatch):
+    real = microarch.oncore_flush_cost
+    monkeypatch.setattr(microarch, "oncore_flush_cost",
+                        lambda state, cm: real(state, cm) + _unrelated(state))
+    _assert_fails_on_cost(checks.check_oncore_flush_dependence(ref_cfg, 50, "neg"))
+
+
+# --- negative controls: a flush that writes a part it may not touch -----------
+
+def _scrubbing_set_0(monkeypatch, op_class):
+    """Make every op_class also empty cache set 0, whatever it targets."""
+    real = checks.apply_op
+
+    def overreaching(state, op, *rest):
+        out = real(state, op, *rest)
+        if isinstance(op, op_class):
+            empty = CacheSet(ways=(None,) * len(out.sets[0].ways), meta=0)
+            out = dataclasses.replace(out, sets=(empty,) + out.sets[1:])
+        return out
+
+    monkeypatch.setattr(checks, "apply_op", overreaching)
+
+
+def _assert_fails_on_a_write(result):
+    assert not result.ok and result.format().startswith("FAIL")
+    msg = result.failures[0]
+    assert "set" in msg and "cost" not in msg, msg
+
+
+def test_offcore_flush_locality_catches_a_scrub_of_a_non_target_set(ref_cfg, monkeypatch):
+    _scrubbing_set_0(monkeypatch, OffCoreFlush)
+    _assert_fails_on_a_write(checks.check_offcore_flush_locality(ref_cfg, 50, "neg"))
+
+
+def test_oncore_flush_dependence_catches_a_scrub_of_a_cache_set(ref_cfg, monkeypatch):
+    _scrubbing_set_0(monkeypatch, OnCoreFlush)
+    _assert_fails_on_a_write(checks.check_oncore_flush_dependence(ref_cfg, 50, "neg"))

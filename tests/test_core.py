@@ -187,7 +187,6 @@ def test_validate_policy_flags_the_discipline_breaches():
 
     wrong_image = _policy((_dom(0, {0}, {0x400}, set()),))  # colour 1 image
     assert any("kernel image" in p for p in validate_policy(wrong_image, amap, g))
-    assert validate_policy(wrong_image, amap, g, check_image_colours=False) == []
 
     unmapped = _policy((_dom(0, {0}, {0x0}, {0x5000}),))
     assert any("unmapped" in p for p in validate_policy(unmapped, amap, g))

@@ -8,8 +8,10 @@ import pytest
 
 from tpsim.core import KERNEL_DOMAIN, ModelError, PolicyError, set_index_of
 from tpsim.kernel import (
+    HONEST_MECHANISM,
     Input,
     NOOP,
+    PREFETCH_MECHANISM,
     RAW_ACCESS,
     RunError,
     RunOptions,
@@ -29,6 +31,7 @@ from tpsim.microarch import (
     OnCoreFlush,
     PadTo,
     Read,
+    apply_trace,
     flushable_reset,
     parse_trace,
 )
@@ -97,7 +100,8 @@ def test_cross_domain_object_breaks_the_invariant(ref_cfg):
     rec = r.step(Input(SYS_READ, obj="t_obj"))
     bad = [f for f in rec.failures if f.kind == "invariant"]
     assert bad and 0x21000 in bad[0].witnesses
-    ok, wit = partition_subset_invariant(r.abstract, ref_cfg.geometry)
+    ok, wit = partition_subset_invariant(r.abstract.ta, r.abstract.current, ref_cfg.policy,
+                                         ref_cfg.amap, ref_cfg.geometry)
     assert not ok and 0x21000 in wit
 
 
@@ -136,8 +140,8 @@ def test_switch_mechanism_shape_and_postconditions(ref_cfg):
     assert len(switches) == ref_cfg.scenario.slices
     L, D = ref_cfg.policy.slice_length, ref_cfg.policy.switch_deadline
     for k, rec in enumerate(switches):
-        ops = rec.mechanism_trace
-        assert [type(o) for o in ops] == [OffCoreFlush, OnCoreFlush, PadTo]
+        ops = rec.trace
+        assert tuple(type(o) for o in ops) == HONEST_MECHANISM
         assert ops[0].targets == ref_cfg.policy.kernel_globals
         assert rec.ta_after == frozenset()
         assert rec.clock_before == (k + 1) * L + k * D
@@ -150,38 +154,83 @@ def test_switch_mechanism_shape_and_postconditions(ref_cfg):
 
 
 def test_undersized_deadline_is_a_pad_violation(ref_cfg):
+    """A switch whose pad fails keeps both flushes: it records exactly them,
+    and reports only the missed deadline, not flushes that did run."""
     squeezed = dataclasses.replace(
         ref_cfg, policy=dataclasses.replace(ref_cfg.policy, switch_deadline=8)
     )
     res = run_system(squeezed, seed=8, slices=2,
                      options=RunOptions(collect=True))
     assert any(f.kind == "pad-violation" for f in res.failures)
+    switches = [rec for rec in res.records if rec.kind == "switch"]
+    assert len(switches) == 2
+    for rec in switches:
+        assert [type(o) for o in rec.trace] == [OffCoreFlush, OnCoreFlush]
+        after = rec.s_mu_after
+        assert after.flushable == flushable_reset(ref_cfg.cost_model.flushable_words)
+        for idx in ref_cfg.policy.global_set_indices(ref_cfg.geometry):
+            assert after.sets[idx].is_empty() and after.sets[idx].meta == 0
+        assert after.clock > rec.clock_before + 8     # the flushes cost time
+        kinds = [f.kind for f in rec.failures]
+        assert kinds.count("pad-violation") == 1
+        details = " ".join(f.detail for f in rec.failures)
+        assert "not reset" not in details and "not scrubbed" not in details
+        assert "does not sit on the deadline" in details
+
+
+def test_failed_step_trace_keeps_the_ops_before_the_failure(ref_cfg):
+    """An oracle that runs out mid-trace: the step records the operations
+    that ran, and the state holds exactly their effect."""
+    opts = RunOptions(collect=True,
+                      oracle_factory=lambda sl, dom, phase: NondetOracle(words=range(7)))
+    r = SystemRunner(ref_cfg, seed=18, options=opts)
+    rec = r.step(Input(SYS_READ, obj="s_buf"))
+    assert [f.kind for f in rec.failures] == ["trace-error"]
+    ran = rec.kernel_trace + rec.trace
+    assert len(ran) == 3                               # two words per access
+    fresh = SystemRunner(ref_cfg, seed=18)
+    want = apply_trace(fresh.micro, ran, NondetOracle(words=range(7)),
+                       ref_cfg.geometry, ref_cfg.cost_model, ref_cfg.policy)
+    assert rec.s_mu_after == want == r.micro
+
+
+def test_run_that_ends_with_deferred_inputs_is_starved(ref_cfg):
+    """No input fits a 500-cycle slice: the run must not pass as clean."""
+    short = dataclasses.replace(
+        ref_cfg, policy=dataclasses.replace(ref_cfg.policy, slice_length=500)
+    )
+    res = run_system(short, seed=19, options=RunOptions(collect=True))
+    assert res.steps == 0 and not res.ok
+    starved = [f for f in res.failures if f.kind == "starved"]
+    assert [f.detail.split(":")[0] for f in starved] == ["domain 0", "domain 1"]
+    assert all("still deferred" in f.detail for f in starved)
+    with pytest.raises(RunError, match="starved: domain 0"):
+        run_system(short, seed=19)
 
 
 def test_prefetch_mechanism_replaces_the_targeted_flush(ref_cfg):
     res = run_system(ref_cfg, seed=9, slices=2,
-                     options=RunOptions(mechanism="prefetch"))
+                     options=RunOptions(mechanism=PREFETCH_MECHANISM))
     assert res.ok
+    walk = tuple(sorted(ref_cfg.policy.kernel_globals))
     for rec in res.records:
         if rec.kind != "switch":
             continue
-        assert [type(o) for o in rec.mechanism_trace] == [OnCoreFlush, PadTo]
-        # old_clean walk plus the prefetch walk: globals appear twice
-        walk = tuple(sorted(ref_cfg.policy.kernel_globals))
-        reads = tuple(op.p for op in rec.kernel_trace if isinstance(op, Read))
-        assert reads == walk + walk
+        # old_clean walks the globals, and the mechanism walks them again
+        assert tuple(op.p for op in rec.kernel_trace) == walk
+        assert [type(o) for o in rec.trace] == [Read] * len(walk) + [OnCoreFlush, PadTo]
+        assert tuple(op.p for op in rec.trace[:len(walk)]) == walk
         # the globals are warm, not scrubbed, and that is fine here
         idx = next(iter(ref_cfg.policy.global_set_indices(ref_cfg.geometry)))
         assert not rec.s_mu_after.sets[idx].is_empty()
 
 
-def test_skip_flags_shape_the_mechanism(ref_cfg):
-    opts = RunOptions(skip_oncore_flush=True, skip_offcore_flush=True,
-                      skip_pad=True, collect=True)
+def test_mechanism_template_shapes_the_switch(ref_cfg):
+    opts = RunOptions(mechanism=(), collect=True)
     res = run_system(ref_cfg, seed=10, slices=2, options=opts)
     for rec in res.records:
         if rec.kind == "switch":
-            assert rec.mechanism_trace == ()
+            assert rec.trace == ()
 
 
 def test_deferral_preserves_program_order(ref_cfg):

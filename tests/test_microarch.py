@@ -249,6 +249,7 @@ def test_trace_error_carries_index_and_cause():
         apply_trace(s, trace, NondetOracle(key="t"), G, CM, PLRU)
     assert e.value.index == 1
     assert isinstance(e.value.cause, PadViolation)
+    assert e.value.state == MicroArchState(s.flushable, s.sets, 100)
 
 
 def test_wcet_bounds_hold_on_random_states():
@@ -360,17 +361,18 @@ def fold_apply_op(state, trace, oracle, g, cm, policy):
         try:
             state = apply_op(state, op, oracle, g, cm, policy)
         except ModelError as e:
-            raise TraceError(i, e) from e
+            raise TraceError(i, e, state) from e
     return state
 
 
 def outcome(fn, state, trace, make_oracle, g, policy):
-    """What a trace application did: result or error, and oracle words drawn."""
+    """What a trace application did: result or error (with the state the
+    operations before the failing one left), and oracle words drawn."""
     oracle = make_oracle()
     try:
         result = fn(state, trace, oracle, g, CM, policy)
     except TraceError as e:
-        return ("trace-error", e.index, type(e.cause)), oracle.consumed
+        return ("trace-error", e.index, type(e.cause), e.state), oracle.consumed
     except ValueError as e:
         return ("bare", type(e)), oracle.consumed
     return ("ok", result), oracle.consumed
@@ -456,13 +458,15 @@ def test_apply_trace_fold_edge_cases():
     # operation draws a word.
     assert same(s, (Read(0, 0x40), Write(0, -64))) == (("bare", ValueError), 2)
     assert same(s, (Read(0, -1),)) == (("bare", ValueError), 0)
-    # A pad in the past stops the trace at its index.
+    # A pad in the past stops the trace at its index, keeping the read before.
+    after_read = apply_op(s, Read(0, 0x40), key(), G, CM, PLRU)
     assert same(s, (Read(0, 0x40), PadTo(0), Read(0, 0x80)))[0] == (
-        "trace-error", 1, PadViolation)
+        "trace-error", 1, PadViolation, after_read)
     # An oracle that runs out between the mixing word and the jitter word.
     words = lambda: NondetOracle(words=[1, 2, 3])
+    after_read = apply_op(s, Read(0, 0x40), words(), G, CM, PLRU)
     assert same(s, (Read(0, 0x40), Write(0, 0x80)), words) == (
-        ("trace-error", 1, ModelError), 4)
+        ("trace-error", 1, ModelError, after_read), 4)
     # Addresses at and above 2^64, above 2^127 and negative virtual ones;
     # empty off-core targets.
     wide = (Write(1 << 64, (1 << 64) + 0x40), Read((1 << 127) + 5, 0x40), Read(-3, 0x80),

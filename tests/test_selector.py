@@ -7,9 +7,6 @@ import pytest
 from tpsim.core import AddressMap, CacheGeometry, DomainPolicy, DomainSpec
 from tpsim.microarch import (
     MicroArchState,
-    OffCoreFlush,
-    OnCoreFlush,
-    PadTo,
     Read,
     Write,
     adheres,
@@ -56,8 +53,7 @@ def test_selected_traces_adhere():
     for trial in range(300):
         ta = set(rng.sample(pages, rng.randint(1, 3)))
         s = MicroArchState.initial(G, 8)
-        tr = select_trace(ta, _vis(s), AMAP, rng.randint(1, 64), trial,
-                          allow_flushes=bool(trial % 2), pad_to=10_000)
+        tr = select_trace(ta, _vis(s), AMAP, rng.randint(1, 64), trial)
         ok, idx = adheres(tr, ta, AMAP, POL.kernel_globals)
         assert ok, (trial, idx, tr[idx] if idx is not None else None)
 
@@ -73,25 +69,17 @@ def test_budget_is_respected_and_empty_ta_is_empty():
 
 
 def test_operation_mix_over_many_seeds():
-    """Reads dominate, writes land near a quarter, flush decoration shows up
-    only when asked for."""
+    """Only reads and writes; reads dominate, writes land near a quarter."""
     s = MicroArchState.initial(G, 8)
     ta = {0x10000, 0x10400}
     reads = writes = 0
-    saw_oncore = saw_offcore = saw_pad = False
     for seed in range(400):
         plain = select_trace(ta, _vis(s), AMAP, 32, seed)
         assert all(isinstance(op, (Read, Write)) for op in plain)
         reads += sum(isinstance(op, Read) for op in plain)
         writes += sum(isinstance(op, Write) for op in plain)
-        rich = select_trace(ta, _vis(s), AMAP, 32, seed,
-                            allow_flushes=True, pad_to=99_999)
-        saw_oncore = saw_oncore or any(isinstance(op, OnCoreFlush) for op in rich)
-        saw_offcore = saw_offcore or any(isinstance(op, OffCoreFlush) for op in rich)
-        saw_pad = saw_pad or any(isinstance(op, PadTo) for op in rich)
     frac = writes / (reads + writes)
     assert 0.15 < frac < 0.35
-    assert saw_oncore and saw_offcore and saw_pad
 
 
 def test_visible_projection_is_the_whole_story():
