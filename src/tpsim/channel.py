@@ -27,16 +27,13 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import NOOP, SYS_READ, USER_READ, Input, RunConfig
 from .core import ConfigError
-from .kernel import (
-    Input, NOOP, PREFETCH_MECHANISM, RunOptions, SYS_READ, USER_READ, SystemRunner,
-)
-from .microarch import NondetOracle
+from .kernel import PREFETCH_MECHANISM, RunOptions, SystemRunner
 
 PROTECTIONS = ("on", "off", "prefetch", "targeted-flush")
 
@@ -309,19 +306,6 @@ def _attack_objects(cfg: RunConfig) -> tuple[str, str, str]:
 def _probe_once(cfg: RunConfig, options: RunOptions, seed: object, index: int,
                 symbol: int, prime_obj: str, probe_obj: str, trojan_obj: str) -> int:
     spy, trojan = cfg.policy.domain_ids()[:2]
-    sample_key = f"{seed}:s{index}"
-
-    def oracle_factory(slice_index: int, domain: int, phase: str) -> NondetOracle:
-        # Keyed on the sample, never on the symbol: identical words in the
-        # symbol-0 and symbol-1 runs of one sample.
-        return NondetOracle(key=f"{sample_key}:oracle:{slice_index}:{domain}:{phase}")
-
-    opts = replace(
-        options,
-        retain_records=True,
-        oracle_factory=oracle_factory,
-        trace_seed_fn=lambda sl, st: f"{sample_key}:trace:{sl}:{st}",
-    )
     schedule = {
         spy: [
             [Input(kind=USER_READ, obj=prime_obj)],
@@ -332,7 +316,9 @@ def _probe_once(cfg: RunConfig, options: RunOptions, seed: object, index: int,
             else [Input(kind=SYS_READ, obj=trojan_obj)],
         ],
     }
-    runner = SystemRunner(cfg, sample_key, opts)
+    # Seeded by the sample, never by the symbol: the symbol-0 and symbol-1
+    # runs of one sample draw identical oracle words and trace seeds.
+    runner = SystemRunner(cfg, f"{seed}:s{index}", options)
     runner.run(slices=3, schedule=schedule)
     probe = next(
         r for r in runner.records if r.slice_index == 2 and r.kind != "switch"
@@ -340,62 +326,47 @@ def _probe_once(cfg: RunConfig, options: RunOptions, seed: object, index: int,
     return probe.clock_delta
 
 
-def _collect_chunk(args) -> list[tuple[int, int, int]]:
-    cfg, options, seed, symbols, lo, hi, objs = args
-    prime_obj, probe_obj, trojan_obj = objs
-    out = []
-    for i in range(lo, hi):
-        for symbol in symbols:
-            latency = _probe_once(cfg, options, seed, i, symbol,
-                                  prime_obj, probe_obj, trojan_obj)
-            out.append((i, symbol, latency))
-    return out
+def _collect_chunk(args) -> tuple[list[int], list[int]]:
+    """Probe latencies of samples lo..hi-1, for symbol 0 and for symbol 1."""
+    cfg, options, seed, lo, hi, objs = args
+    return tuple(
+        [_probe_once(cfg, options, seed, i, symbol, *objs) for i in range(lo, hi)]
+        for symbol in (0, 1)
+    )
 
 
-def run_prime_probe(cfg: RunConfig, protection: str, bits: Iterable[int],
-                    samples_per_symbol: int, seed: object, jobs: int = 1) -> ChannelMatrix:
-    """Collect the channel matrix for one protection mode."""
-    symbols = tuple(bits)
-    if not symbols or any(b not in (0, 1) for b in symbols):
-        raise ConfigError(f"bits: expected symbols from {{0, 1}}, got {symbols!r}")
-    if len(set(symbols)) != len(symbols):
-        raise ConfigError("bits: duplicate symbols")
+def run_prime_probe(cfg: RunConfig, protection: str, samples_per_symbol: int,
+                    seed: object, jobs: int = 1) -> ChannelMatrix:
+    """Collect the channel matrix for one protection mode.
+
+    The samples are cut into one contiguous range per job, and the ranges'
+    latencies are joined in sample order, so any jobs gives the same matrix.
+    """
     if samples_per_symbol < 1:
         raise ConfigError("samples_per_symbol: must be >= 1")
     acfg, options = attack_variant(cfg, protection)
     objs = _attack_objects(acfg)
-
+    chunk = math.ceil(samples_per_symbol / jobs)
+    work = [(acfg, options, seed, lo, min(lo + chunk, samples_per_symbol), objs)
+            for lo in range(0, samples_per_symbol, chunk)]
     if jobs > 1:
-        chunk = max(1, math.ceil(samples_per_symbol / jobs))
-        ranges = [
-            (lo, min(lo + chunk, samples_per_symbol))
-            for lo in range(0, samples_per_symbol, chunk)
-        ]
-        work = [(acfg, options, seed, symbols, lo, hi, objs) for lo, hi in ranges]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             pieces = list(pool.map(_collect_chunk, work))
-        triples = sorted(t for piece in pieces for t in piece)
     else:
-        triples = _collect_chunk((acfg, options, seed, symbols, 0,
-                                  samples_per_symbol, objs))
-
-    samples: dict[str, list[int]] = {str(s): [] for s in symbols}
-    for _, symbol, latency in triples:
-        samples[str(symbol)].append(latency)
+        pieces = [_collect_chunk(w) for w in work]
+    samples = {str(s): [v for piece in pieces for v in piece[s]] for s in (0, 1)}
     return ChannelMatrix.from_samples(samples, bin_width=cfg.analysis.bin_width)
 
 
 def measure_channel(cfg: RunConfig, protection: str, seed: object,
                     samples_per_symbol: int | None = None,
-                    shuffles: int | None = None,
                     jobs: int = 1) -> CapacityReport:
-    """Matrix plus M and M0 in one report."""
+    """Matrix plus M and M0 (over analysis.shuffles label shuffles) in one report."""
     samples = cfg.analysis.samples_per_symbol if samples_per_symbol is None \
         else samples_per_symbol
-    nshuffles = cfg.analysis.shuffles if shuffles is None else shuffles
-    matrix = run_prime_probe(cfg, protection, (0, 1), samples, seed, jobs=jobs)
+    matrix = run_prime_probe(cfg, protection, samples, seed, jobs=jobs)
     m = mutual_information(matrix)
-    m0, ci = apparent_capacity_M0(matrix, nshuffles, f"{seed}:m0:{protection}")
+    m0, ci = apparent_capacity_M0(matrix, cfg.analysis.shuffles, f"{seed}:m0:{protection}")
     return CapacityReport(
         protection=protection,
         matrix=matrix,
@@ -403,7 +374,7 @@ def measure_channel(cfg: RunConfig, protection: str, seed: object,
         M0_bits=m0,
         M0_ci95=ci,
         samples=samples,
-        shuffles=nshuffles,
+        shuffles=cfg.analysis.shuffles,
         bin_width=cfg.analysis.bin_width,
         seed=seed,
         replacement=cfg.policy.replacement,

@@ -17,25 +17,14 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Collection, Iterable
 
-from .config import RunConfig
+from .config import INPUT_KINDS, KERNEL_CALLS, NOOP, RAW_ACCESS, SYS_ALLOC, Input, RunConfig
 from .core import (
     CacheGeometry,
     ConfigError,
     set_index_of,
     universe_lines,
 )
-from .kernel import (
-    INPUT_KINDS,
-    Input,
-    KERNEL_CALLS,
-    NOOP,
-    RAW_ACCESS,
-    RunOptions,
-    StepRecord,
-    SYS_ALLOC,
-    SystemRunner,
-    partition_subset_invariant,
-)
+from .kernel import RunOptions, StepRecord, SystemRunner, partition_subset_invariant
 from .microarch import (
     CacheSet,
     CostModel,

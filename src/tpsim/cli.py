@@ -4,8 +4,9 @@ All randomness in a command descends from --seed, so identical invocations
 produce identical reports and CSVs byte for byte; the one timestamp line can
 be dropped with --no-timestamp for golden-file comparisons.
 
-Exit status: 0 on success, 1 when a property violation or failure was found,
-2 for usage or configuration errors.
+Exit status: 0 on success, 1 when a property violation or failure was found
+(for confidentiality, also when its hypothesis was not satisfied), 2 for
+usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .channel import (
     write_matrix_csv,
 )
 from .checks import SUITES, run_suite
-from .config import load_config, validate_config
+from .config import RunConfig, load_config, validate_config
 from .confidentiality import MUTATIONS, check_confidentiality
 from .core import ConfigError, ModelError
 
@@ -39,7 +40,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=1,
                      help="root of all randomness (default 1)")
     sub.add_argument("--jobs", type=positive_int, default=1,
-                     help="worker processes for sample collection (default 1)")
+                     help="worker processes for sample collection; only attack and "
+                          "prefetch-experiment use it (default 1)")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the generation timestamp line")
 
@@ -95,10 +97,7 @@ def _header(args: argparse.Namespace) -> None:
         print(f"# generated {now}")
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    validate_config(cfg)
-    _header(args)
+def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"property check, suite={args.suite}, trials={args.trials}, seed={args.seed}")
     results = run_suite(cfg, args.suite, args.trials, args.seed)
     for r in results:
@@ -108,26 +107,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_confidentiality(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    validate_config(cfg)
+def cmd_confidentiality(cfg: RunConfig, args: argparse.Namespace) -> int:
     observer = args.observer
     if observer is None:
         observer = cfg.policy.domain_ids()[0]
     trials = args.trials if args.trials is not None else cfg.analysis.trials
     mutation = None if args.mutation == "none" else args.mutation
-    _header(args)
     report = check_confidentiality(
         cfg, observer, trials, args.seed, variant=args.variant, mutation=mutation,
     )
     print(report.format())
-    return 1 if report.violations else 0
+    return 1 if report.violations or not report.hypothesis_ok else 0
 
 
-def cmd_attack(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    validate_config(cfg)
-    _header(args)
+def cmd_attack(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = measure_channel(
         cfg, args.protection, args.seed,
         samples_per_symbol=args.samples, jobs=args.jobs,
@@ -139,10 +132,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_prefetch(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    validate_config(cfg)
-    _header(args)
+def cmd_prefetch(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = prefetch_experiment(
         cfg, args.seed, samples_per_symbol=args.samples, jobs=args.jobs,
     )
@@ -154,7 +144,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        validate_config(cfg)
+        _header(args)
+        return args.func(cfg, args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
-from .config import RunConfig
+from .config import NOOP, SYS_ALLOC, SYS_READ, SYS_WRITE, USER_READ, USER_WRITE, Input, RunConfig
 from .core import (
     CacheGeometry,
     ConfigError,
@@ -40,17 +40,10 @@ from .core import (
 from .kernel import (
     HONEST_MECHANISM,
     AbstractState,
-    Input,
-    NOOP,
     RunError,
     RunOptions,
     StepRecord,
     SystemRunner,
-    SYS_ALLOC,
-    SYS_READ,
-    SYS_WRITE,
-    USER_READ,
-    USER_WRITE,
 )
 from .microarch import (
     MicroArchState,
@@ -101,33 +94,35 @@ def observer_view(abstract: AbstractState, micro: MicroArchState, observer: int,
     )
 
 
-def _diff_views(a: ObserverView, b: ObserverView, include_micro: bool) -> str | None:
-    """Name of the first differing field, or None when equal."""
+def _diff_views(a: ObserverView, b: ObserverView,
+                include_micro: bool) -> tuple[str, object, object] | None:
+    """The first differing field and the two values it is reported with, or
+    None when the views are equal.  An object field reports both object
+    lists, and a cache-set field both lists of visible sets."""
     if a.role != b.role:
-        return "role"
+        return "role", a.role, b.role
     if a.ta != b.ta:
-        return "ta"
-    ids_a = [o[0] for o in a.objects]
-    ids_b = [o[0] for o in b.objects]
-    if ids_a != ids_b:
-        return "objects"
+        # The roles agree, so both views are executing ones with a touched set.
+        return "ta", sorted(a.ta), sorted(b.ta)
+    if [o[0] for o in a.objects] != [o[0] for o in b.objects]:
+        return "objects", a.objects, b.objects
     for (ident, alloc_a, pay_a), (_, alloc_b, pay_b) in zip(a.objects, b.objects):
         if alloc_a != alloc_b:
-            return f"objects[{ident}].allocated"
+            return f"objects[{ident}].allocated", a.objects, b.objects
         if pay_a != pay_b:
-            return f"objects[{ident}].payload"
+            return f"objects[{ident}].payload", a.objects, b.objects
     if not include_micro:
         return None
     ma, mb = a.micro, b.micro
     if ma.flushable != mb.flushable:
-        return "micro.flushable"
+        return "micro.flushable", ma.flushable, mb.flushable
     if ma.clock != mb.clock:
-        return "micro.clock"
+        return "micro.clock", ma.clock, mb.clock
     if tuple(i for i, _ in ma.visible_sets) != tuple(i for i, _ in mb.visible_sets):
-        return "micro.visible_sets"
+        return "micro.visible_sets", ma.visible_sets, mb.visible_sets
     for (idx, sa), (_, sb) in zip(ma.visible_sets, mb.visible_sets):
         if sa != sb:
-            return f"micro.sets[{idx}]"
+            return f"micro.sets[{idx}]", ma.visible_sets, mb.visible_sets
     return None
 
 
@@ -142,7 +137,7 @@ def low_equiv(s1: AbstractState, s2: AbstractState,
     va = observer_view(s1, s_mu1, observer, policy, g)
     vb = observer_view(s2, s_mu2, observer, policy, g)
     diff = _diff_views(va, vb, include_micro)
-    return (diff is None, diff)
+    return (diff is None, None if diff is None else diff[0])
 
 
 # --- schedule construction ------------------------------------------------------
@@ -346,32 +341,15 @@ class ConfidentialityReport:
         return "\n".join(lines)
 
 
-def _field_values(va: ObserverView, vb: ObserverView, fieldname: str) -> tuple[str, str]:
-    def pick(v: ObserverView):
-        if fieldname == "role":
-            return v.role
-        if fieldname == "ta":
-            return sorted(v.ta) if v.ta is not None else None
-        if fieldname.startswith("objects"):
-            return v.objects
-        if fieldname == "micro.flushable":
-            return v.micro.flushable
-        if fieldname == "micro.clock":
-            return v.micro.clock
-        return v.micro.visible_sets
-    ra, rb = repr(pick(va)), repr(pick(vb))
-    clip = 160
-    return ra[:clip], rb[:clip]
+# Violations quote each run's value of the differing field up to this length.
+_CLIP = 160
 
 
-def _run_once(cfg: RunConfig, options: RunOptions, runner_seed: str,
-              observer: int, oracle_factory, trace_seed_fn):
-    opts = replace(
-        options,
-        retain_records=False,
-        oracle_factory=oracle_factory,
-        trace_seed_fn=trace_seed_fn,
-    )
+def _run_once(cfg: RunConfig, options: RunOptions, trial_key: str, tag: str,
+              observer: int):
+    """One run of a trial pair.  Returns the observer's view after every
+    transition, the failure that aborted the run (or None), and the run's
+    first three hypothesis breaches."""
     views: list[tuple[tuple[str, int, int], ObserverView]] = []
     hypothesis: list[str] = []
 
@@ -391,9 +369,16 @@ def _run_once(cfg: RunConfig, options: RunOptions, runner_seed: str,
                           runner.policy, runner.g),
         ))
 
-    opts.record_cb = cb
-    runner = SystemRunner(cfg, runner_seed, opts)
-    return runner, views, hypothesis
+    # Both runs take the trial key as their seed, so their trace seeds agree;
+    # the oracle factory shares the observer's and the mechanism's words only.
+    opts = replace(options, record_cb=cb,
+                   oracle_factory=_pair_oracle_factory(trial_key, observer, tag))
+    runner = SystemRunner(cfg, trial_key, opts)
+    try:
+        runner.run(schedule=build_schedule(cfg, observer, trial_key, tag))
+    except RunError as e:
+        return views, e.failure, hypothesis[:3]
+    return views, None, hypothesis[:3]
 
 
 def check_confidentiality(
@@ -414,8 +399,7 @@ def check_confidentiality(
         raise ConfigError(f"observer: unknown domain {observer}")
     include_micro = variant == "u-mu"
 
-    base_options = RunOptions(collect=False)
-    cfg, options = apply_mutation(cfg, base_options, mutation, observer)
+    cfg, options = apply_mutation(cfg, RunOptions(), mutation, observer)
 
     report = ConfidentialityReport(
         variant=variant, observer=observer, trials=trials, seed=seed,
@@ -434,56 +418,47 @@ def check_confidentiality(
             "policy validation failed: " + policy_problems[0]
         )
 
+    # Only the first trial that breaches the hypothesis adds notes, but the
+    # search for a violation goes on: some defects first show dozens of
+    # trials in.
+    noted = False
     for trial in range(trials):
         trial_key = f"{seed}:t{trial}"
-        trace_seed_fn = lambda sl, st, _k=trial_key: f"{_k}:trace:{sl}:{st}"
-        sides = {}
-        aborted = False
+        sides, notes = [], []
         for tag in ("A", "B"):
-            runner, views, hypothesis = _run_once(
-                cfg, options, runner_seed=f"{trial_key}:{tag}", observer=observer,
-                oracle_factory=_pair_oracle_factory(trial_key, observer, tag),
-                trace_seed_fn=trace_seed_fn,
-            )
-            schedule = build_schedule(cfg, observer, trial_key, tag)
-            try:
-                runner.run(schedule=schedule)
-            except RunError as e:
-                report.hypothesis_ok = False
-                report.hypothesis_notes.append(
-                    f"trial {trial} run {tag} aborted: {e.failure}"
-                )
-                aborted = True
-            if hypothesis:
-                report.hypothesis_ok = False
-                report.hypothesis_notes.extend(
-                    f"trial {trial} run {tag}: {h}" for h in hypothesis[:3]
-                )
-            sides[tag] = views
-            if aborted:
+            views, abort, hypothesis = _run_once(cfg, options, trial_key, tag, observer)
+            if abort is not None:
+                notes.append(f"trial {trial} run {tag} aborted: {abort}")
+            notes.extend(f"trial {trial} run {tag}: {h}" for h in hypothesis)
+            sides.append(views)
+            if abort is not None:
                 break
-        if aborted:
+        if notes and not noted:
+            report.hypothesis_ok = False
+            report.hypothesis_notes.extend(notes)
+            noted = True
+        if abort is not None:
             break
 
-        va, vb = sides["A"], sides["B"]
+        va, vb = sides
         if len(va) != len(vb):
             report.violations.append(Violation(
                 trial=trial, transition=min(len(va), len(vb)), kind="run",
                 slice_index=-1, domain=-1, field="transition-count",
                 a=str(len(va)), b=str(len(vb)),
             ))
-        else:
-            for i, ((ctx, view_a), (_, view_b)) in enumerate(zip(va, vb)):
-                report.transitions += 1
-                diff = _diff_views(view_a, view_b, include_micro)
-                if diff is not None:
-                    a_repr, b_repr = _field_values(view_a, view_b, diff)
-                    report.violations.append(Violation(
-                        trial=trial, transition=i, kind=ctx[0],
-                        slice_index=ctx[1], domain=ctx[2], field=diff,
-                        a=a_repr, b=b_repr,
-                    ))
-                    break
+            break
+        for i, ((ctx, view_a), (_, view_b)) in enumerate(zip(va, vb)):
+            report.transitions += 1
+            diff = _diff_views(view_a, view_b, include_micro)
+            if diff is not None:
+                name, a, b = diff
+                report.violations.append(Violation(
+                    trial=trial, transition=i, kind=ctx[0],
+                    slice_index=ctx[1], domain=ctx[2], field=name,
+                    a=repr(a)[:_CLIP], b=repr(b)[:_CLIP],
+                ))
+                break
         if report.violations:
             break
 

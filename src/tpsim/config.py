@@ -26,6 +26,31 @@ from .microarch import CostModel
 
 SPEC_VERSION = 1
 
+# Input kinds a schedule can contain.
+USER_READ = "user_read"
+USER_WRITE = "user_write"
+SYS_READ = "sys_read"
+SYS_WRITE = "sys_write"
+SYS_ALLOC = "sys_alloc"
+NOOP = "noop"
+RAW_ACCESS = "raw_access"
+
+KERNEL_CALLS = (SYS_READ, SYS_WRITE, SYS_ALLOC)
+INPUT_KINDS = (USER_READ, USER_WRITE, SYS_READ, SYS_WRITE, SYS_ALLOC, NOOP, RAW_ACCESS)
+
+
+@dataclass(frozen=True)
+class Input:
+    kind: str
+    obj: str | None = None
+    offset: int = 0
+    byte: int = 0
+    vaddr: int | None = None   # raw_access only
+
+    def __post_init__(self):
+        if self.kind not in INPUT_KINDS:
+            raise ValueError(f"unknown input kind {self.kind!r}")
+
 
 @dataclass
 class ObjectSpec:
@@ -39,7 +64,7 @@ class ObjectSpec:
 @dataclass
 class Scenario:
     slices: int
-    inputs: dict[int, list[list[dict[str, Any]]]]   # domain -> per-slice input dicts
+    inputs: dict[int, list[list[Input]]]   # domain -> per-rotation input batches
     objects: list[ObjectSpec]
     initial_cache: list[tuple[int, int]] = field(default_factory=list)  # (phys addr, level)
 
@@ -204,12 +229,16 @@ def parse_config(raw: dict) -> RunConfig:
             allocated=bool(o.get("allocated", True)),
         ))
 
-    inputs: dict[int, list[list[dict[str, Any]]]] = {}
+    inputs: dict[int, list[list[Input]]] = {}
+    idents = {o.ident for o in objects}
     for key, per_slice in ssec.get("inputs", {}).items():
         dom = _as_int(key, "scenario.inputs key")
+        if dom not in policy.domain_ids():
+            raise ConfigError(f"scenario.inputs[{key}]: unknown domain {dom}")
         if not isinstance(per_slice, list):
             raise ConfigError(f"scenario.inputs[{key}]: expected a list of slices")
-        inputs[dom] = per_slice
+        inputs[dom] = [_parse_batch(batch, idents, f"scenario.inputs[{key}][{i}]")
+                       for i, batch in enumerate(per_slice)]
 
     initial_cache = []
     for i, entry in enumerate(ssec.get("initial_cache", [])):
@@ -255,6 +284,31 @@ def parse_config(raw: dict) -> RunConfig:
     )
     _check_objects(cfg)
     return cfg
+
+
+def _parse_batch(batch: Any, idents: set[str], where: str) -> list[Input]:
+    if not isinstance(batch, list):
+        raise ConfigError(f"{where}: expected a list of inputs")
+    out = []
+    for j, d in enumerate(batch):
+        at = f"{where}[{j}]"
+        if not isinstance(d, dict):
+            raise ConfigError(f"{at}: must be a mapping")
+        kind = d.get("kind", d.get("op"))
+        if kind not in INPUT_KINDS:
+            raise ConfigError(f"{at}.kind: unknown input kind {kind!r}; "
+                              f"know {', '.join(INPUT_KINDS)}")
+        obj = d.get("obj")
+        if kind in (USER_READ, USER_WRITE, SYS_READ, SYS_WRITE) and obj not in idents:
+            raise ConfigError(f"{at}.obj: unknown object {obj!r}")
+        out.append(Input(
+            kind=kind,
+            obj=obj,
+            offset=_as_int(d.get("offset", 0), f"{at}.offset"),
+            byte=_as_int(d.get("byte", 0), f"{at}.byte"),
+            vaddr=_as_addr(d["vaddr"], f"{at}.vaddr") if "vaddr" in d else None,
+        ))
+    return out
 
 
 def _check_objects(cfg: RunConfig) -> None:

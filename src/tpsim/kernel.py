@@ -28,11 +28,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Optional
 
-from .config import RunConfig
+# Input and its kinds are defined in config; callers may also take them from here.
+from .config import (
+    KERNEL_CALLS,
+    NOOP,
+    RAW_ACCESS,
+    SYS_ALLOC,
+    SYS_READ,
+    SYS_WRITE,
+    USER_READ,
+    USER_WRITE,
+    Input,
+    RunConfig,
+)
 from .core import (
     AddressMap,
     CacheGeometry,
-    ConfigError,
     DomainPolicy,
     KERNEL_DOMAIN,
     ModelError,
@@ -57,38 +68,12 @@ from .microarch import (
 )
 from .selector import select_trace, select_trace_peeking
 
-# Input kinds a schedule can contain.
-USER_READ = "user_read"
-USER_WRITE = "user_write"
-SYS_READ = "sys_read"
-SYS_WRITE = "sys_write"
-SYS_ALLOC = "sys_alloc"
-NOOP = "noop"
-RAW_ACCESS = "raw_access"
-
-KERNEL_CALLS = (SYS_READ, SYS_WRITE, SYS_ALLOC)
-INPUT_KINDS = (USER_READ, USER_WRITE, SYS_READ, SYS_WRITE, SYS_ALLOC, NOOP, RAW_ACCESS)
-
-
 class RunError(ModelError):
     """A hard failure aborted a strict-mode run."""
 
     def __init__(self, failure: "Failure"):
         super().__init__(str(failure))
         self.failure = failure
-
-
-@dataclass(frozen=True)
-class Input:
-    kind: str
-    obj: str | None = None
-    offset: int = 0
-    byte: int = 0
-    vaddr: int | None = None   # raw_access only
-
-    def __post_init__(self):
-        if self.kind not in INPUT_KINDS:
-            raise ValueError(f"unknown input kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -161,8 +146,7 @@ def get_object(state: AbstractState, ident: str) -> KernelObject:
     return obj
 
 
-def access_mem(state: AbstractState, v: int, pending: list[tuple[int, bool]],
-               write: bool = False) -> Failure | None:
+def access_mem(state: AbstractState, v: int) -> Failure | None:
     """Access one virtual address; fails unless its page was retrieved."""
     vpage = v - (v % state.amap.page_size)
     if vpage not in state.ta:
@@ -171,7 +155,6 @@ def access_mem(state: AbstractState, v: int, pending: list[tuple[int, bool]],
             detail=f"access to {v:#x} whose page was never retrieved",
             vaddr=v,
         )
-    pending.append((v, write))
     return None
 
 
@@ -223,7 +206,10 @@ class RunOptions:
 
     collect keeps a run going past hard failures (they are still recorded).
     mechanism is the switch template; the mutation harness and the attack
-    variants edit it, and the default gives the honest kernel.
+    variants edit it, and the default gives the honest kernel.  record_cb
+    sees each record with the runner's live state.  oracle_factory replaces
+    the oracle of a (slice, domain, phase); by default every oracle and
+    trace seed is keyed on the runner's seed.
     """
 
     collect: bool = False
@@ -231,9 +217,7 @@ class RunOptions:
     selector_peek: bool = False
     ta_leak: bool = False
     record_cb: Optional[Callable[["StepRecord", "SystemRunner"], None]] = None
-    retain_records: bool = True
     oracle_factory: Optional[Callable[[int, int, str], NondetOracle]] = None
-    trace_seed_fn: Optional[Callable[[int, int], object]] = None
 
 
 @dataclass
@@ -306,11 +290,6 @@ class SystemRunner:
             return self.options.oracle_factory(self.slice_index, domain, phase)
         return NondetOracle(key=f"{self.seed}:oracle:{self.slice_index}:{domain}:{phase}")
 
-    def _trace_seed(self) -> object:
-        if self.options.trace_seed_fn is not None:
-            return self.options.trace_seed_fn(self.slice_index, self._step_in_slice)
-        return f"{self.seed}:trace:{self.slice_index}:{self._step_in_slice}"
-
     # -- fixed kernel walks --
 
     def globals_walk(self) -> Trace:
@@ -360,8 +339,7 @@ class SystemRunner:
         return trace
 
     def _emit(self, record: StepRecord) -> None:
-        if self.options.retain_records:
-            self.records.append(record)
+        self.records.append(record)
         if self.options.record_cb is not None:
             self.options.record_cb(record, self)
 
@@ -375,12 +353,11 @@ class SystemRunner:
         pool.sort(key=lambda o: o.ident)
         return pool[0] if pool else None
 
-    def _run_abstract(self, input: Input, domain: int,
-                      pending: list[tuple[int, bool]]) -> tuple[list[Failure], bool, set[int]]:
+    def _run_abstract(self, input: Input, domain: int) -> tuple[list[Failure], bool, set[int]]:
         """Execute the abstract semantics of one input.
 
         Returns (failures, kernel_entry, footprint pages).  The touched set
-        grows as a side effect; pending collects the individual accesses.
+        grows as a side effect.
         """
         failures: list[Failure] = []
         footprint: set[int] = set()
@@ -392,7 +369,7 @@ class SystemRunner:
 
         if input.kind == RAW_ACCESS:
             v = input.vaddr if input.vaddr is not None else 0
-            f = access_mem(st, v, pending)
+            f = access_mem(st, v)
             if f:
                 failures.append(f)
             else:
@@ -407,7 +384,7 @@ class SystemRunner:
             footprint |= obj.pages(psz)
             obj.allocated = True
             obj.payload.clear()
-            f = access_mem(st, obj.base, pending, write=True)
+            f = access_mem(st, obj.base)
             if f:
                 failures.append(f)
             return failures, True, footprint
@@ -421,7 +398,7 @@ class SystemRunner:
         footprint |= obj.pages(psz)
         offset = input.offset % max(obj.size, 1)
         write = input.kind in (USER_WRITE, SYS_WRITE)
-        f = access_mem(st, obj.base + offset, pending, write=write)
+        f = access_mem(st, obj.base + offset)
         if f:
             failures.append(f)
         elif write:
@@ -459,9 +436,8 @@ class SystemRunner:
         ta_before = frozenset(st.ta)
         mu_before = self.micro
         slot_before = st.slot_remaining
-        pending: list[tuple[int, bool]] = []
 
-        failures, kernel_entry, footprint = self._run_abstract(input, domain, pending)
+        failures, kernel_entry, footprint = self._run_abstract(input, domain)
         kind = "kernel-call" if kernel_entry else "user"
 
         ok, witnesses = partition_subset_invariant(
@@ -495,15 +471,16 @@ class SystemRunner:
         trace: Trace = ()
         if footprint:
             vis = visible_projection(self.micro, domain, self.policy, "executing", self.g)
+            seed = f"{self.seed}:trace:{self.slice_index}:{self._step_in_slice}"
             if self.options.selector_peek:
                 trace = select_trace_peeking(
                     footprint, self.micro, vis, self.amap, self.cfg.analysis.trace_budget,
-                    self._trace_seed(), line_size=self.g.line_size,
+                    seed, line_size=self.g.line_size,
                 )
             else:
                 trace = select_trace(
                     footprint, vis, self.amap, self.cfg.analysis.trace_budget,
-                    self._trace_seed(), line_size=self.g.line_size,
+                    seed, line_size=self.g.line_size,
                 )
 
         oracle = self._oracle(domain, f"step:{self._step_in_slice}")
@@ -620,17 +597,16 @@ class SystemRunner:
 
     # -- whole runs ---------------------------------------------------------------
 
-    def inputs_for(self, domain: int, slice_index: int) -> list[Input]:
-        per_slice = self.cfg.scenario.inputs.get(domain, [])
-        rotation = slice_index // len(self.policy.domains)
-        if rotation < len(per_slice):
-            return [_input_from_dict(d) for d in per_slice[rotation]]
-        return []
-
     def run(self, slices: int | None = None,
             schedule: dict[int, list[list[Input]]] | None = None) -> RunResult:
-        """Alternate slices and switches; a switch follows every slice."""
+        """Alternate slices and switches; a switch follows every slice.
+
+        schedule maps each domain to its input batches, one per rotation;
+        it defaults to the scenario's inputs.
+        """
         total = slices if slices is not None else self.cfg.scenario.slices
+        if schedule is None:
+            schedule = self.cfg.scenario.inputs
         for k in range(total):
             domain = self.policy.domain_ids()[k % len(self.policy.domains)]
             # The round-robin successor was installed by the previous switch;
@@ -644,11 +620,9 @@ class SystemRunner:
             slice_start = self.micro.clock
             tick = slice_start + self.policy.slice_length
 
-            if schedule is not None:
-                incoming = list(schedule.get(domain, []))
-                batch = incoming[k // len(self.policy.domains)] if k // len(self.policy.domains) < len(incoming) else []
-            else:
-                batch = self.inputs_for(domain, k)
+            batches = schedule.get(domain, [])
+            rotation = k // len(self.policy.domains)
+            batch = batches[rotation] if rotation < len(batches) else []
             queue = self._deferred[domain] + list(batch)
             self._deferred[domain] = []
 
@@ -686,19 +660,6 @@ class SystemRunner:
             steps=self.step_count,
             final_clock=self.micro.clock,
         )
-
-
-def _input_from_dict(d: dict[str, Any]) -> Input:
-    kind = d.get("kind", d.get("op"))
-    if kind not in INPUT_KINDS:
-        raise ConfigError(f"scenario input: unknown kind {kind!r}")
-    return Input(
-        kind=kind,
-        obj=d.get("obj"),
-        offset=int(d.get("offset", 0)),
-        byte=int(d.get("byte", 0)),
-        vaddr=int(d["vaddr"], 16) if isinstance(d.get("vaddr"), str) else d.get("vaddr"),
-    )
 
 
 def run_system(cfg: RunConfig, seed: object, options: RunOptions | None = None,

@@ -1,5 +1,6 @@
 """Channel matrices, the plug-in estimator and its shuffle calibration."""
 
+import dataclasses
 import math
 import random
 
@@ -239,22 +240,20 @@ def test_attack_variant_shapes(ref_cfg):
 
 
 def test_run_prime_probe_argument_checks(ref_cfg):
-    with pytest.raises(ConfigError, match="bits"):
-        run_prime_probe(ref_cfg, "on", (0, 2), 1, seed=0)
-    with pytest.raises(ConfigError, match="duplicate"):
-        run_prime_probe(ref_cfg, "on", (1, 1), 1, seed=0)
     with pytest.raises(ConfigError, match="samples_per_symbol"):
-        run_prime_probe(ref_cfg, "on", (0, 1), 0, seed=0)
+        run_prime_probe(ref_cfg, "on", 0, seed=0)
+    with pytest.raises(ConfigError, match="unknown mode"):
+        run_prime_probe(ref_cfg, "firewall", 1, seed=0)
 
 
 def test_protection_on_is_bit_identical(ref_cfg):
-    m = run_prime_probe(ref_cfg, "on", (0, 1), 25, seed="small")
+    m = run_prime_probe(ref_cfg, "on", 25, seed="small")
     assert m.counts[0] == m.counts[1]
     assert mutual_information(m) == 0.0
 
 
 def test_protection_off_separates_cleanly(ref_cfg):
-    m = run_prime_probe(ref_cfg, "off", (0, 1), 25, seed="small")
+    m = run_prime_probe(ref_cfg, "off", 25, seed="small")
     hot = {i for i, c in enumerate(m.counts[0]) if c}
     cold = {i for i, c in enumerate(m.counts[1]) if c}
     assert hot.isdisjoint(cold)
@@ -263,15 +262,17 @@ def test_protection_off_separates_cleanly(ref_cfg):
 
 
 def test_parallel_collection_matches_serial(ref_cfg):
-    serial = run_prime_probe(ref_cfg, "off", (0, 1), 8, seed="par")
-    parallel = run_prime_probe(ref_cfg, "off", (0, 1), 8, seed="par", jobs=2)
-    assert serial == parallel
+    serial = run_prime_probe(ref_cfg, "off", 8, seed="par")
+    assert serial.labels == ("0", "1") and serial.samples_per_symbol == 8
+    for jobs in (2, 3):                  # even and uneven ranges of samples
+        assert run_prime_probe(ref_cfg, "off", 8, seed="par", jobs=jobs) == serial
 
 
 def test_measure_channel_and_prefetch_notes(ref_cfg, adv_cfg):
-    rep = measure_channel(ref_cfg, "on", seed="mc", samples_per_symbol=25,
-                          shuffles=100)
-    assert rep.M_bits == 0.0 and not rep.channel_open
+    few = dataclasses.replace(ref_cfg, analysis=dataclasses.replace(ref_cfg.analysis,
+                                                                   shuffles=100))
+    rep = measure_channel(few, "on", seed="mc", samples_per_symbol=25)
+    assert rep.M_bits == 0.0 and not rep.channel_open and rep.shuffles == 100
     assert rep.replacement == "plru" and rep.samples == 25
 
     pre = prefetch_experiment(ref_cfg, seed="pw", samples_per_symbol=4)

@@ -42,6 +42,26 @@ def test_confidentiality_honest_and_mutated(capsys, config_dir):
     assert "first witness" in out and "micro.clock" in out
 
 
+def test_unsatisfied_hypothesis_is_exit_1(capsys, tmp_path, config_dir):
+    """No violation found is no pass when the hypothesis does not hold."""
+    cfgp = str(config_dir / "reference.yaml")
+    code, out, _ = run_cli(
+        capsys, "confidentiality", cfgp, "--variant", "u", "--mutation", "no-pad",
+        "--trials", "20", "--no-timestamp",
+    )
+    assert "violations: 0" in out and "hypothesis: NOT SATISFIED" in out
+    assert code == 1
+
+    import yaml
+    doc = yaml.safe_load((config_dir / "reference.yaml").read_text())
+    doc["policy"]["slice_length"] = 500        # no input fits a slot
+    short = tmp_path / "short.yaml"
+    short.write_text(yaml.safe_dump(doc))
+    code, out, _ = run_cli(capsys, "confidentiality", str(short), "--no-timestamp")
+    assert "transitions compared: 0" in out and "hypothesis: NOT SATISFIED" in out
+    assert code == 1
+
+
 def test_unknown_mutation_is_an_argparse_error(config_dir):
     with pytest.raises(SystemExit) as e:
         main(["confidentiality", str(config_dir / "reference.yaml"),

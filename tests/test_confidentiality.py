@@ -85,6 +85,17 @@ def test_tampered_mechanism_is_flagged_in_hypothesis(ref_cfg):
     assert "NOT SATISFIED" in rep.format()
 
 
+def test_hypothesis_notes_come_from_one_trial(ref_cfg):
+    """The search for a violation goes on past the first breach of the
+    hypothesis, but only that trial's notes are reported."""
+    rep = check_confidentiality(ref_cfg, observer=0, trials=20, seed=1,
+                                variant="u", mutation="no-pad")
+    assert rep.violations == [] and not rep.hypothesis_ok
+    assert 0 < len(rep.hypothesis_notes) <= 6, rep.hypothesis_notes
+    assert {n.split(" run ")[0] for n in rep.hypothesis_notes} == {"trial 0"}
+    assert rep.transitions > 19 * ref_cfg.scenario.slices     # all 20 trials compared
+
+
 def test_unknown_mutation_variant_observer_and_trials(ref_cfg):
     with pytest.raises(ConfigError, match="unknown mutation"):
         apply_mutation(ref_cfg, RunOptions(), "rowhammer", observer=0)

@@ -7,6 +7,7 @@ import yaml
 
 from tpsim.config import load_config, parse_config, validate_config
 from tpsim.core import ConfigError
+from tpsim.kernel import NOOP, RAW_ACCESS, Input
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +109,30 @@ def test_initial_cache_parse(raw):
     assert cfg.scenario.initial_cache == [(0x1440, 2), (0x2400, 1)]
     with pytest.raises(ConfigError, match="initial_cache"):
         parse_config(_broken(raw, lambda d: d["scenario"].update(initial_cache=["0x1440"])))
+
+
+def test_scenario_inputs_are_parsed_at_load(raw):
+    """A mistyped input kind or object, or inputs for a domain that does not
+    exist, are rejected at load, naming the input, not when a run first
+    reaches the slice (or never)."""
+    with pytest.raises(ConfigError, match=r"scenario\.inputs\[1\]\[2\]\[0\]\.kind: .*'sys_wirte'"):
+        parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][1][2][0].update(
+            kind="sys_wirte")))
+    with pytest.raises(ConfigError, match=r"scenario\.inputs\[0\]\[0\]\[0\]\.obj: .*'s_bfu'"):
+        parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0][0][0].update(
+            obj="s_bfu")))
+    with pytest.raises(ConfigError, match=r"scenario\.inputs\[7\]: unknown domain 7"):
+        parse_config(_broken(raw, lambda d: d["scenario"]["inputs"].update(
+            {7: [[{"kind": "noop"}]]})))
+    with pytest.raises(ConfigError, match=r"scenario\.inputs\[0\]\[1\]\[0\]\.offset"):
+        parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0][1][0].update(
+            offset="sixteen")))
+    with pytest.raises(ConfigError, match=r"scenario\.inputs\[0\]\[0\]: expected a list"):
+        parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0].__setitem__(
+            0, {"kind": "noop"})))
+    cfg = parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0].append(
+        [{"kind": "raw_access", "vaddr": "0x10020"}, {"op": "noop"}])))
+    assert cfg.scenario.inputs[0][3] == [Input(RAW_ACCESS, vaddr=0x10020), Input(NOOP)]
 
 
 def test_validate_config_catches_colour_overlap(raw, ref_cfg):

@@ -32,6 +32,13 @@ GOLDEN = [
      "c91ba9739de73771f89708294b82ac26abd6605bd6fe99afe89f73261440b8c4"),
     (("confidentiality", "reference", "--trials", "30", "--mutation", "no-pad"), 1,
      "6f5db2eb49c366c28a1e475670b8d52becff6949ee78d080a1feeedb711b81d3"),
+    # --jobs changes how samples are collected, never the report.
+    (("attack", "reference", "--protection", "off", "--samples", "60", "--jobs", "2"), 0,
+     "83ac74b39691ac4ced0e48bcda758b9185938467ef697fda5ce904e168d090de"),
+    (("prefetch-experiment", "adversarial", "--samples", "60", "--jobs", "2"), 0,
+     "52b451e0245079c9aafa7d1400aabb383fca5c0eea042b4e14ab1db00980432f"),
+    (("confidentiality", "reference", "--variant", "u", "--trials", "30"), 0,
+     "5ad6b54bd8c383f76a4a99ccea7356474f08ed08db34acdffba3cdaedbcee445"),
     (("check", "reference", "--suite", "all", "--trials", "100"), 0,
      "4b58ac7145322cc236b3e593338f7cc86fd064a5638417e639695cec483ee41e"),
 ]

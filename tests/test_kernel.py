@@ -34,7 +34,9 @@ from tpsim.microarch import (
     apply_trace,
     flushable_reset,
     parse_trace,
+    visible_projection,
 )
+from tpsim.selector import select_trace
 
 
 def test_worst_case_cost_formula(ref_cfg):
@@ -277,26 +279,34 @@ def test_initial_cache_seeds_the_micro_state(ref_cfg):
     assert s.sets[set_index_of(0x2400, g)].level_of(g.line_of(0x2400)) == 2
 
 
-def test_oracle_and_trace_seed_hooks_are_used(ref_cfg):
+def test_oracle_hook_and_runner_seeded_traces(ref_cfg):
     phases = []
-    seeds = []
 
     def factory(slice_index, domain, phase):
         phases.append((slice_index, domain, phase))
         return NondetOracle(key=f"hook:{slice_index}:{domain}:{phase}")
 
-    def tseed(slice_index, step_in_slice):
-        seeds.append((slice_index, step_in_slice))
-        return f"hook:{slice_index}:{step_in_slice}"
-
-    opts = RunOptions(oracle_factory=factory, trace_seed_fn=tseed)
-    res = run_system(ref_cfg, seed=14, slices=2, options=opts)
+    res = run_system(ref_cfg, seed=14, slices=2, options=RunOptions(oracle_factory=factory))
     assert res.ok
     kinds = {p[2] for p in phases}
     assert "old_clean" in kinds and "mechanism" in kinds
     assert any(p.startswith("step:") for p in kinds)
     assert any(d == KERNEL_DOMAIN for _, d, ph in phases if ph == "mechanism")
-    assert (0, 0) in seeds
+
+    # Whatever the oracle, trace seeds come from the runner's seed: the first
+    # step's trace is the selector's choice under "14:trace:0:0".
+    g = ref_cfg.geometry
+    first = res.records[0]
+    vis = visible_projection(first.s_mu_before, 0, ref_cfg.policy, "executing", g)
+    assert first.trace == select_trace(first.ta_after, vis, ref_cfg.amap,
+                                       ref_cfg.analysis.trace_budget, "14:trace:0:0",
+                                       line_size=g.line_size)
+
+    # Without the hook, oracle keys come from the runner's seed too.
+    keyed = RunOptions(oracle_factory=lambda sl, dom, ph:
+                       NondetOracle(key=f"14:oracle:{sl}:{dom}:{ph}"))
+    assert run_system(ref_cfg, seed=14, slices=2, options=keyed).records \
+        == run_system(ref_cfg, seed=14, slices=2).records
 
 
 def test_default_scenario_runs_clean_and_serializes(ref_cfg):
@@ -310,17 +320,22 @@ def test_default_scenario_runs_clean_and_serializes(ref_cfg):
 
 
 def test_scenario_rotation_lookup(ref_cfg):
-    r = SystemRunner(ref_cfg, seed=16)
-    slice0 = r.inputs_for(0, 0)
-    assert slice0 and all(isinstance(i, Input) for i in slice0)
-    assert r.inputs_for(0, 2) == r.inputs_for(0, 2)  # deterministic parse
-    assert r.inputs_for(0, 99) == []
+    inputs = ref_cfg.scenario.inputs     # parsed once, at load
+    assert inputs[0][0] == [Input(USER_READ, obj="s_buf", offset=0)]
+    assert inputs[1][2] == [Input(SYS_WRITE, obj="t_obj", offset=8, byte=9)]
+    # run() reads the scenario's batches when it is given no schedule
+    assert run_system(ref_cfg, seed=16).records \
+        == run_system(ref_cfg, seed=16, schedule=inputs).records
+    # rotations past the last batch run no input
+    res = run_system(ref_cfg, seed=16, slices=8)
+    assert [r.kind for r in res.records if r.slice_index >= 6] == ["switch", "switch"]
 
 
-def test_record_callback_and_retention_switch(ref_cfg):
+def test_record_callback_sees_every_kept_record(ref_cfg):
     seen = []
-    opts = RunOptions(record_cb=lambda rec, runner: seen.append(rec.kind),
-                      retain_records=False)
+    opts = RunOptions(record_cb=lambda rec, runner: seen.append((rec, runner.records[-1])))
     res = run_system(ref_cfg, seed=17, slices=2, options=opts)
-    assert res.records == []
-    assert seen.count("switch") == 2 and len(seen) > 2
+    assert [rec for rec, _ in seen] == res.records
+    assert all(rec is kept for rec, kept in seen)    # kept before the callback runs
+    kinds = [rec.kind for rec in res.records]
+    assert kinds.count("switch") == 2 and len(kinds) > 2
