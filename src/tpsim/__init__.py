@@ -63,54 +63,3 @@ from .microarch import (
 from .selector import perturb_invisible, select_trace, select_trace_peeking
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AddressMap",
-    "CacheGeometry",
-    "CacheSet",
-    "CapacityReport",
-    "ChannelMatrix",
-    "CheckResult",
-    "ConfidentialityReport",
-    "ConfigError",
-    "CostModel",
-    "DomainPolicy",
-    "DomainSpec",
-    "Input",
-    "KERNEL_DOMAIN",
-    "MicroArchState",
-    "ModelError",
-    "NondetOracle",
-    "OffCoreFlush",
-    "OnCoreFlush",
-    "PadTo",
-    "PolicyError",
-    "Read",
-    "RunConfig",
-    "RunOptions",
-    "RunResult",
-    "StepRecord",
-    "SystemRunner",
-    "TranslationFault",
-    "VisibleProjection",
-    "Write",
-    "adheres",
-    "apparent_capacity_M0",
-    "apply_op",
-    "apply_trace",
-    "check_confidentiality",
-    "load_config",
-    "measure_channel",
-    "mutual_information",
-    "parse_config",
-    "partition_subset_invariant",
-    "perturb_invisible",
-    "prefetch_experiment",
-    "run_prime_probe",
-    "run_suite",
-    "run_system",
-    "select_trace",
-    "select_trace_peeking",
-    "validate_config",
-    "visible_projection",
-]

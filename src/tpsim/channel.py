@@ -319,9 +319,9 @@ def _probe_once(cfg: RunConfig, options: RunOptions, seed: object, index: int,
     # Seeded by the sample, never by the symbol: the symbol-0 and symbol-1
     # runs of one sample draw identical oracle words and trace seeds.
     runner = SystemRunner(cfg, f"{seed}:s{index}", options)
-    runner.run(slices=3, schedule=schedule)
     probe = next(
-        r for r in runner.records if r.slice_index == 2 and r.kind != "switch"
+        r for r in runner.run(slices=3, schedule=schedule).records
+        if r.slice_index == 2 and r.kind != "switch"
     )
     return probe.clock_delta
 

@@ -42,7 +42,6 @@ from .kernel import (
     AbstractState,
     RunError,
     RunOptions,
-    StepRecord,
     SystemRunner,
 )
 from .microarch import (
@@ -352,30 +351,26 @@ def _run_once(cfg: RunConfig, options: RunOptions, trial_key: str, tag: str,
     first three hypothesis breaches."""
     views: list[tuple[tuple[str, int, int], ObserverView]] = []
     hypothesis: list[str] = []
-
-    def cb(record: StepRecord, runner: SystemRunner):
-        for f in record.failures:
-            hypothesis.append(f"{record.kind} slice {record.slice_index}: {f}")
-        if record.kind == "switch":
-            shapes = tuple(type(op) for op in record.trace)
-            if shapes != HONEST_MECHANISM:
-                hypothesis.append(
-                    f"switch slice {record.slice_index}: mechanism trace is "
-                    f"{[t.__name__ for t in shapes]}, not the exact flush/flush/pad sequence"
-                )
-        views.append((
-            (record.kind, record.slice_index, record.domain),
-            observer_view(runner.abstract, runner.micro, observer,
-                          runner.policy, runner.g),
-        ))
-
     # Both runs take the trial key as their seed, so their trace seeds agree;
     # the oracle factory shares the observer's and the mechanism's words only.
-    opts = replace(options, record_cb=cb,
-                   oracle_factory=_pair_oracle_factory(trial_key, observer, tag))
+    opts = replace(options, oracle_factory=_pair_oracle_factory(trial_key, observer, tag))
     runner = SystemRunner(cfg, trial_key, opts)
     try:
-        runner.run(schedule=build_schedule(cfg, observer, trial_key, tag))
+        for record in runner.transitions(schedule=build_schedule(cfg, observer, trial_key, tag)):
+            for f in record.failures:
+                hypothesis.append(f"{record.kind} slice {record.slice_index}: {f}")
+            if record.kind == "switch":
+                shapes = tuple(type(op) for op in record.trace)
+                if shapes != HONEST_MECHANISM:
+                    hypothesis.append(
+                        f"switch slice {record.slice_index}: mechanism trace is "
+                        f"{[t.__name__ for t in shapes]}, not the exact flush/flush/pad sequence"
+                    )
+            views.append((
+                (record.kind, record.slice_index, record.domain),
+                observer_view(runner.abstract, runner.micro, observer,
+                              runner.policy, runner.g),
+            ))
     except RunError as e:
         return views, e.failure, hypothesis[:3]
     return views, None, hypothesis[:3]

@@ -26,7 +26,7 @@ follow a fixed order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 # Input and its kinds are defined in config; callers may also take them from here.
 from .config import (
@@ -206,17 +206,15 @@ class RunOptions:
 
     collect keeps a run going past hard failures (they are still recorded).
     mechanism is the switch template; the mutation harness and the attack
-    variants edit it, and the default gives the honest kernel.  record_cb
-    sees each record with the runner's live state.  oracle_factory replaces
-    the oracle of a (slice, domain, phase); by default every oracle and
-    trace seed is keyed on the runner's seed.
+    variants edit it, and the default gives the honest kernel.
+    oracle_factory replaces the oracle of a (slice, domain, phase); by
+    default every oracle and trace seed is keyed on the runner's seed.
     """
 
     collect: bool = False
     mechanism: tuple[type, ...] = HONEST_MECHANISM
     selector_peek: bool = False
     ta_leak: bool = False
-    record_cb: Optional[Callable[["StepRecord", "SystemRunner"], None]] = None
     oracle_factory: Optional[Callable[[int, int, str], NondetOracle]] = None
 
 
@@ -260,7 +258,6 @@ class SystemRunner:
         )
         self.micro = self._initial_micro()
         self.slice_index = 0
-        self.records: list[StepRecord] = []
         self.failures: list[Failure] = []
         self.switch_count = 0
         self.step_count = 0
@@ -337,11 +334,6 @@ class SystemRunner:
                 failures.append(Failure("trace-error", str(e)))
             return trace[:e.index]
         return trace
-
-    def _emit(self, record: StepRecord) -> None:
-        self.records.append(record)
-        if self.options.record_cb is not None:
-            self.options.record_cb(record, self)
 
     # -- abstract semantics --
 
@@ -431,6 +423,7 @@ class SystemRunner:
     # -- one step -------------------------------------------------------------
 
     def step(self, input: Input) -> StepRecord:
+        """Apply one input of the current domain and return its record."""
         st = self.abstract
         domain = st.current
         ta_before = frozenset(st.ta)
@@ -451,49 +444,36 @@ class SystemRunner:
                 witnesses=witnesses,
             ))
 
-        hard = [f for f in failures if f.kind in ("ta-violation", "invariant", "bad-input")]
-        if hard:
-            record = StepRecord(
-                kind=kind, slice_index=self.slice_index, domain=domain, input=input,
-                ta_before=ta_before, ta_after=frozenset(st.ta),
-                kernel_trace=(), trace=(),
-                s_mu_before=mu_before, s_mu_after=mu_before,
-                failures=tuple(failures),
-            )
-            self._emit(record)
-            self.step_count += 1
-            self._step_in_slice += 1
-            for f in hard:
-                self._register(f)
-            return record
-
-        kernel_trace = self._kernel_walk(input, domain)
+        # A step that failed in the abstract semantics never touches the hardware.
+        kernel_trace: Trace = ()
         trace: Trace = ()
-        if footprint:
-            vis = visible_projection(self.micro, domain, self.policy, "executing", self.g)
-            seed = f"{self.seed}:trace:{self.slice_index}:{self._step_in_slice}"
-            if self.options.selector_peek:
-                trace = select_trace_peeking(
-                    footprint, self.micro, vis, self.amap, self.cfg.analysis.trace_budget,
-                    seed, line_size=self.g.line_size,
-                )
-            else:
-                trace = select_trace(
-                    footprint, vis, self.amap, self.cfg.analysis.trace_budget,
-                    seed, line_size=self.g.line_size,
-                )
+        if not failures:
+            kernel_trace = self._kernel_walk(input, domain)
+            if footprint:
+                vis = visible_projection(self.micro, domain, self.policy, "executing", self.g)
+                seed = f"{self.seed}:trace:{self.slice_index}:{self._step_in_slice}"
+                if self.options.selector_peek:
+                    trace = select_trace_peeking(
+                        footprint, self.micro, vis, self.amap, self.cfg.analysis.trace_budget,
+                        seed, line_size=self.g.line_size,
+                    )
+                else:
+                    trace = select_trace(
+                        footprint, vis, self.amap, self.cfg.analysis.trace_budget,
+                        seed, line_size=self.g.line_size,
+                    )
 
-        oracle = self._oracle(domain, f"step:{self._step_in_slice}")
-        applied = self._apply(kernel_trace + trace, oracle, failures)
-        kernel_trace, trace = applied[:len(kernel_trace)], applied[len(kernel_trace):]
+            oracle = self._oracle(domain, f"step:{self._step_in_slice}")
+            applied = self._apply(kernel_trace + trace, oracle, failures)
+            kernel_trace, trace = applied[:len(kernel_trace)], applied[len(kernel_trace):]
 
-        delta = self.micro.clock - mu_before.clock
-        if delta > slot_before:
-            failures.append(Failure(
-                kind="slot-overrun",
-                detail=f"step cost {delta} exceeded remaining slot {slot_before}",
-            ))
-        st.slot_remaining = slot_before - delta
+            delta = self.micro.clock - mu_before.clock
+            if delta > slot_before:
+                failures.append(Failure(
+                    kind="slot-overrun",
+                    detail=f"step cost {delta} exceeded remaining slot {slot_before}",
+                ))
+            st.slot_remaining = slot_before - delta
 
         record = StepRecord(
             kind=kind, slice_index=self.slice_index, domain=domain, input=input,
@@ -502,12 +482,8 @@ class SystemRunner:
             s_mu_before=mu_before, s_mu_after=self.micro,
             failures=tuple(failures),
         )
-        self._emit(record)
         self.step_count += 1
         self._step_in_slice += 1
-        for f in failures:
-            if f.kind in ("slot-overrun", "trace-error"):
-                self._register(f)
         return record
 
     # -- the four-phase switch --------------------------------------------------
@@ -517,7 +493,7 @@ class SystemRunner:
         return ids[(ids.index(old) + 1) % len(ids)]
 
     def domain_switch(self, tick: int) -> StepRecord:
-        """Switch away from the current domain at the given timer tick."""
+        """Switch away from the current domain at the given timer tick; returns its record."""
         st = self.abstract
         if st.slot_remaining > 0:
             raise PolicyError(
@@ -567,10 +543,7 @@ class SystemRunner:
             s_mu_before=mu_before, s_mu_after=self.micro,
             failures=tuple(failures),
         )
-        self._emit(record)
         self.switch_count += 1
-        for f in failures:
-            self._register(f)
         return record
 
     def _switch_postcondition_failures(self, deadline: int) -> list[Failure]:
@@ -597,13 +570,32 @@ class SystemRunner:
 
     # -- whole runs ---------------------------------------------------------------
 
-    def run(self, slices: int | None = None,
-            schedule: dict[int, list[list[Input]]] | None = None) -> RunResult:
-        """Alternate slices and switches; a switch follows every slice.
+    def transitions(self, slices: int | None = None,
+                    schedule: dict[int, list[list[Input]]] | None = None
+                    ) -> Iterator[StepRecord]:
+        """Drive a run: alternate slices and switches, a switch after every
+        slice, and yield each record while the runner's state is the state
+        just after it.
 
+        When the consumer resumes, the record's failures are registered:
+        under collect the run goes on, otherwise RunError is raised.  A
+        consumer that stops early skips the end-of-run starved check.
         schedule maps each domain to its input batches, one per rotation;
         it defaults to the scenario's inputs.
         """
+        for record in self._slices(slices, schedule):
+            yield record
+            for f in record.failures:
+                self._register(f)
+
+        # A run that never got to some inputs says nothing about them.
+        for domain, queue in self._deferred.items():
+            if queue:
+                self._register(Failure("starved", f"domain {domain}: {len(queue)} "
+                                                  f"input(s) still deferred when the run ended"))
+
+    def _slices(self, slices: int | None,
+                schedule: dict[int, list[list[Input]]] | None) -> Iterator[StepRecord]:
         total = slices if slices is not None else self.cfg.scenario.slices
         if schedule is None:
             schedule = self.cfg.scenario.inputs
@@ -632,7 +624,7 @@ class SystemRunner:
                     # it) to this domain's next slice.
                     self._deferred[domain] = queue[i:]
                     break
-                self.step(inp)
+                yield self.step(inp)
 
             # Idle to the timer tick; slices end on exact boundaries.
             if self.micro.clock > tick:
@@ -644,17 +636,14 @@ class SystemRunner:
                 self.micro = MicroArchState(self.micro.flushable, self.micro.sets, tick)
             self.abstract.slot_remaining = 0
 
-            self.domain_switch(tick)
+            yield self.domain_switch(tick)
             self.slice_index += 1
 
-        # A run that never got to some inputs says nothing about them.
-        for domain, queue in self._deferred.items():
-            if queue:
-                self._register(Failure("starved", f"domain {domain}: {len(queue)} "
-                                                  f"input(s) still deferred when the run ended"))
-
+    def run(self, slices: int | None = None,
+            schedule: dict[int, list[list[Input]]] | None = None) -> RunResult:
+        """Drive a whole run and keep every record."""
         return RunResult(
-            records=self.records,
+            records=list(self.transitions(slices, schedule)),  # drives the run first
             failures=self.failures,
             switches=self.switch_count,
             steps=self.step_count,
@@ -669,6 +658,14 @@ def run_system(cfg: RunConfig, seed: object, options: RunOptions | None = None,
     return runner.run(slices=slices, schedule=schedule)
 
 
+def _input_to_dict(inp: Input) -> dict[str, Any]:
+    """An input in the schema of scenario.inputs, so config reads it back."""
+    d = {"kind": inp.kind, "obj": inp.obj, "offset": inp.offset, "byte": inp.byte}
+    if inp.vaddr is not None:
+        d["vaddr"] = f"{inp.vaddr:#x}"
+    return d
+
+
 def record_to_dict(r: StepRecord) -> dict[str, Any]:
     """Line-oriented structured form of a record, for JSONL logs."""
     from .microarch import format_trace
@@ -676,9 +673,7 @@ def record_to_dict(r: StepRecord) -> dict[str, Any]:
         "kind": r.kind,
         "slice": r.slice_index,
         "domain": r.domain,
-        "input": None if r.input is None else {
-            "op": r.input.kind, "obj": r.input.obj, "offset": r.input.offset,
-        },
+        "input": None if r.input is None else _input_to_dict(r.input),
         "ta_before": [f"{v:#x}" for v in sorted(r.ta_before)],
         "ta_after": [f"{v:#x}" for v in sorted(r.ta_after)],
         "kernel_trace": format_trace(r.kernel_trace),

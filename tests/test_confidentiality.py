@@ -183,3 +183,22 @@ def test_starved_runs_are_no_clean_verdict(ref_cfg):
         assert not rep.hypothesis_ok, mutation
         assert any("starved: domain" in n for n in rep.hypothesis_notes), rep.format()
         assert "NOT SATISFIED" in rep.format()
+
+
+def test_an_aborting_run_notes_its_failing_record_first(ref_cfg):
+    """A strict run that aborts at a switch: the checker still sees that
+    switch's record, and notes its failures, before the abort."""
+    squeezed = dataclasses.replace(
+        ref_cfg, policy=dataclasses.replace(ref_cfg.policy, switch_deadline=8)
+    )
+    rep = check_confidentiality(squeezed, 0, 5, 1)
+    pad = "pad-violation: switch work ran past the deadline (clock 8376, deadline 8200)"
+    assert rep.hypothesis_notes == [
+        f"trial 0 run A aborted: {pad}",
+        f"trial 0 run A: switch slice 0: {pad}",
+        "trial 0 run A: switch slice 0: switch-postcondition: "
+        "clock 8376 does not sit on the deadline 8200",
+        "trial 0 run A: switch slice 0: mechanism trace is "
+        "['OffCoreFlush', 'OnCoreFlush'], not the exact flush/flush/pad sequence",
+    ]
+    assert rep.transitions == 0 and not rep.violations

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from tpsim.config import _parse_batch
 from tpsim.core import KERNEL_DOMAIN, ModelError, PolicyError, set_index_of
 from tpsim.kernel import (
     HONEST_MECHANISM,
@@ -87,14 +88,36 @@ def test_raw_access_requires_retrieval(ref_cfg):
     assert rec2.failures == ()
 
 
+BAD_INPUT_SCHEDULE = {0: [[Input(USER_READ, obj="no-such-object"),
+                           Input(USER_READ, obj="s_buf")]]}
+
+
 def test_strict_mode_raises_and_collect_mode_records(ref_cfg):
+    """Strict and collect are properties of the driver: a bare step only
+    records its failures, whatever the mode."""
     strict = SystemRunner(ref_cfg, seed=3)
-    with pytest.raises(RunError):
-        strict.step(Input(USER_READ, obj="no-such-object"))
-    lax = SystemRunner(ref_cfg, seed=3, options=RunOptions(collect=True))
-    rec = lax.step(Input(USER_READ, obj="no-such-object"))
-    assert any(f.kind == "bad-input" for f in rec.failures)
-    assert lax.failures and lax.records
+    rec = strict.step(Input(USER_READ, obj="no-such-object"))
+    assert [f.kind for f in rec.failures] == ["bad-input"]
+    assert strict.failures == []
+    with pytest.raises(RunError, match="bad-input"):
+        run_system(ref_cfg, seed=3, slices=2, schedule=BAD_INPUT_SCHEDULE)
+    lax = run_system(ref_cfg, seed=3, slices=2, schedule=BAD_INPUT_SCHEDULE,
+                     options=RunOptions(collect=True))
+    assert [f.kind for f in lax.failures] == ["bad-input"]
+    # the run went on past the failure: the next input and both switches ran
+    assert [r.kind for r in lax.records] == ["user", "user", "switch", "switch"]
+    assert lax.records[1].failures == ()
+
+
+def test_strict_transitions_yield_the_failing_record_before_raising(ref_cfg):
+    r = SystemRunner(ref_cfg, seed=3)
+    steps = r.transitions(slices=2, schedule=BAD_INPUT_SCHEDULE)
+    rec = next(steps)
+    assert [f.kind for f in rec.failures] == ["bad-input"]
+    assert r.failures == []              # registered only when the consumer resumes
+    with pytest.raises(RunError, match="unknown object 'no-such-object'"):
+        next(steps)
+    assert [f.kind for f in r.failures] == ["bad-input"]
 
 
 def test_cross_domain_object_breaks_the_invariant(ref_cfg):
@@ -131,8 +154,7 @@ def test_run_rejects_a_rotation_out_of_turn(ref_cfg):
     r = SystemRunner(ref_cfg, seed=6)
     r.abstract.current = ref_cfg.policy.domain_ids()[1]
     with pytest.raises(ModelError, match="out of sync with rotation"):
-        r.run(slices=2)
-    assert r.records == []
+        next(r.transitions(slices=2))     # raises before it yields anything
 
 
 def test_switch_mechanism_shape_and_postconditions(ref_cfg):
@@ -331,11 +353,23 @@ def test_scenario_rotation_lookup(ref_cfg):
     assert [r.kind for r in res.records if r.slice_index >= 6] == ["switch", "switch"]
 
 
-def test_record_callback_sees_every_kept_record(ref_cfg):
-    seen = []
-    opts = RunOptions(record_cb=lambda rec, runner: seen.append((rec, runner.records[-1])))
-    res = run_system(ref_cfg, seed=17, slices=2, options=opts)
-    assert [rec for rec, _ in seen] == res.records
-    assert all(rec is kept for rec, kept in seen)    # kept before the callback runs
-    kinds = [rec.kind for rec in res.records]
+def test_transitions_yield_each_record_with_the_live_state(ref_cfg):
+    runner = SystemRunner(ref_cfg, seed=17)
+    yielded = []
+    for rec in runner.transitions(slices=2):
+        assert rec.s_mu_after is runner.micro    # the runner has not moved on yet
+        yielded.append(rec)
+    assert yielded == run_system(ref_cfg, seed=17, slices=2).records
+    kinds = [rec.kind for rec in yielded]
     assert kinds.count("switch") == 2 and len(kinds) > 2
+
+
+def test_record_inputs_read_back_as_scenario_inputs(ref_cfg):
+    """A JSONL record writes its input in the schema of scenario.inputs."""
+    r = SystemRunner(ref_cfg, seed=20)
+    recs = [r.step(Input(USER_WRITE, obj="s_buf", offset=3, byte=0xAB)),
+            r.step(Input(RAW_ACCESS, vaddr=0x10020))]
+    idents = {o.ident for o in ref_cfg.scenario.objects}
+    for rec in recs:
+        d = json.loads(json.dumps(record_to_dict(rec)))
+        assert _parse_batch([d["input"]], idents, "record") == [rec.input]
