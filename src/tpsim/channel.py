@@ -13,10 +13,12 @@ association), recompute MI, and repeat; the mean is M0 and the 2.5th/97.5th
 percentiles give a 95% interval.  A channel counts as closed when M sits
 within that interval.
 
-Every sample is an independent three-slice run (prime, symbol, probe).  All
-nondeterminism for sample i is keyed on (seed, i) and never on the symbol, so
-a protection mode that actually removes the medium produces bit-identical
-probe latencies for both symbols and therefore exactly zero measured MI.
+Every sample is a three-slice run (prime, symbol, probe) per symbol; the two
+runs share the prime slice, so it runs once and the runner forks after it.
+All nondeterminism for sample i is keyed on (seed, i) and never on the
+symbol, so a protection mode that actually removes the medium produces
+bit-identical probe latencies for both symbols and therefore exactly zero
+measured MI.
 """
 
 from __future__ import annotations
@@ -105,24 +107,6 @@ def write_matrix_csv(matrix: ChannelMatrix, path: str | Path) -> None:
         w.writerow(["symbol"] + [str(e) for e in matrix.edges[:-1]])
         for label, row in zip(matrix.labels, matrix.counts):
             w.writerow([label] + [str(c) for c in row])
-
-
-def read_matrix_csv(path: str | Path, bin_width: int | None = None) -> ChannelMatrix:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:1] != ["symbol"]:
-        raise ConfigError(f"{path}: not a channel matrix CSV")
-    lower = [int(e) for e in rows[0][1:]]
-    if len(lower) > 1:
-        width = lower[1] - lower[0]
-    else:
-        width = bin_width if bin_width else 1
-    edges = tuple(lower + [lower[-1] + width])
-    labels, counts = [], []
-    for row in rows[1:]:
-        labels.append(row[0])
-        counts.append(tuple(int(c) for c in row[1:]))
-    return ChannelMatrix(labels=tuple(labels), edges=edges, counts=tuple(counts))
 
 
 # --- capacity ---------------------------------------------------------------------
@@ -303,36 +287,36 @@ def _attack_objects(cfg: RunConfig) -> tuple[str, str, str]:
     return spy_objs[-1].ident, spy_objs[0].ident, trojan_objs[-1].ident
 
 
-def _probe_once(cfg: RunConfig, options: RunOptions, seed: object, index: int,
-                symbol: int, prime_obj: str, probe_obj: str, trojan_obj: str) -> int:
+def _probe_pair(cfg: RunConfig, options: RunOptions, seed: object, index: int,
+                prime_obj: str, probe_obj: str, trojan_obj: str) -> tuple[int, int]:
+    """Probe latencies of one sample, for symbol 0 and for symbol 1.
+
+    Both symbols share the prime slice and the switch after it, so that part
+    runs once and each symbol goes on in its own fork.  A fork stops at the
+    probe step: the switch after it feeds no measurement.
+    """
     spy, trojan = cfg.policy.domain_ids()[:2]
-    schedule = {
-        spy: [
-            [Input(kind=USER_READ, obj=prime_obj)],
-            [Input(kind=SYS_READ, obj=probe_obj)],
-        ],
-        trojan: [
-            [Input(kind=NOOP)] if symbol == 0
-            else [Input(kind=SYS_READ, obj=trojan_obj)],
-        ],
-    }
+    spy_batches = [[Input(kind=USER_READ, obj=prime_obj)], [Input(kind=SYS_READ, obj=probe_obj)]]
     # Seeded by the sample, never by the symbol: the symbol-0 and symbol-1
     # runs of one sample draw identical oracle words and trace seeds.
     runner = SystemRunner(cfg, f"{seed}:s{index}", options)
-    probe = next(
-        r for r in runner.run(slices=3, schedule=schedule).records
-        if r.slice_index == 2 and r.kind != "switch"
-    )
-    return probe.clock_delta
+    runner.run(slices=1, schedule={spy: spy_batches})
+    latencies = []
+    for signal in (Input(kind=NOOP), Input(kind=SYS_READ, obj=trojan_obj)):
+        twin = runner.fork()
+        schedule = {spy: spy_batches, trojan: [[signal]]}
+        probe = next(r for r in twin.transitions(slices=3, schedule=schedule)
+                     if r.slice_index == 2 and r.kind != "switch")
+        twin.finish(probe)
+        latencies.append(probe.clock_delta)
+    return latencies[0], latencies[1]
 
 
 def _collect_chunk(args) -> tuple[list[int], list[int]]:
     """Probe latencies of samples lo..hi-1, for symbol 0 and for symbol 1."""
     cfg, options, seed, lo, hi, objs = args
-    return tuple(
-        [_probe_once(cfg, options, seed, i, symbol, *objs) for i in range(lo, hi)]
-        for symbol in (0, 1)
-    )
+    pairs = [_probe_pair(cfg, options, seed, i, *objs) for i in range(lo, hi)]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
 def run_prime_probe(cfg: RunConfig, protection: str, samples_per_symbol: int,

@@ -294,7 +294,7 @@ def _parse_batch(batch: Any, idents: set[str], where: str) -> list[Input]:
         at = f"{where}[{j}]"
         if not isinstance(d, dict):
             raise ConfigError(f"{at}: must be a mapping")
-        kind = d.get("kind", d.get("op"))
+        kind = d.get("kind")
         if kind not in INPUT_KINDS:
             raise ConfigError(f"{at}.kind: unknown input kind {kind!r}; "
                               f"know {', '.join(INPUT_KINDS)}")

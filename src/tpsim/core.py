@@ -15,6 +15,7 @@ by their base address.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -82,10 +83,6 @@ class CacheGeometry:
     @property
     def lines_per_page(self) -> int:
         return self.page_size // self.line_size
-
-    @property
-    def sets_per_colour(self) -> int:
-        return self.num_sets // self.num_colours
 
     def line_of(self, addr: int) -> int:
         return addr - (addr % self.line_size)
@@ -166,6 +163,11 @@ class AddressMap:
         return frozenset(self.pages)
 
     def digest_key(self) -> str:
+        return self._digest_key
+
+    @functools.cached_property
+    def _digest_key(self) -> str:
+        # Built once: the map never changes.
         return ",".join(f"{v:x}:{p:x}" for v, p in sorted(self.pages.items()))
 
 

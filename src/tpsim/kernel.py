@@ -25,6 +25,8 @@ follow a fixed order.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -231,6 +233,19 @@ class RunResult:
         return not self.failures
 
 
+@functools.lru_cache(maxsize=32)
+def _kernel_walks(policy: DomainPolicy, g: CacheGeometry) -> tuple[Trace, dict[int, Trace]]:
+    """The globals walk, and each domain's image walk, of a policy.  Every
+    runner of the policy shares the result and only reads it."""
+    kvb = policy.kernel_vbase
+    images = {
+        d.ident: tuple(Read(kvb + line, line)
+                       for page in sorted(d.kernel_image) for line in g.page_lines(page))
+        for d in policy.domains
+    }
+    return tuple(Read(kvb + a, a) for a in sorted(policy.kernel_globals)), images
+
+
 class SystemRunner:
     """Drives one system run: alternating timeslices and domain switches."""
 
@@ -242,6 +257,7 @@ class SystemRunner:
         self.cm = cfg.cost_model
         self.policy = cfg.policy
         self.amap = cfg.amap
+        self._globals_walk, self._image_walks = _kernel_walks(self.policy, self.g)
 
         objects = {
             o.ident: KernelObject(o.ident, o.owner, o.base, o.size, o.allocated)
@@ -290,16 +306,10 @@ class SystemRunner:
     # -- fixed kernel walks --
 
     def globals_walk(self) -> Trace:
-        kvb = self.policy.kernel_vbase
-        return tuple(Read(kvb + a, a) for a in sorted(self.policy.kernel_globals))
+        return self._globals_walk
 
     def image_walk(self, domain: int) -> Trace:
-        kvb = self.policy.kernel_vbase
-        ops = []
-        for page in sorted(self.policy.domain(domain).kernel_image):
-            for line in self.g.page_lines(page):
-                ops.append(Read(kvb + line, line))
-        return tuple(ops)
+        return self._image_walks[domain]
 
     def _kernel_walk(self, input: Input, domain: int) -> Trace:
         if input.kind in KERNEL_CALLS:
@@ -577,29 +587,54 @@ class SystemRunner:
         slice, and yield each record while the runner's state is the state
         just after it.
 
-        When the consumer resumes, the record's failures are registered:
-        under collect the run goes on, otherwise RunError is raised.  A
-        consumer that stops early skips the end-of-run starved check.
-        schedule maps each domain to its input batches, one per rotation;
-        it defaults to the scenario's inputs.
+        The run goes on from slice_index and stops before slice index
+        slices, by default the scenario's.  When the consumer resumes, the
+        record's failures are registered: under collect the run goes on,
+        otherwise RunError is raised.  schedule maps each domain to its input
+        batches, one per rotation; it defaults to the scenario's inputs.
         """
         for record in self._slices(slices, schedule):
             yield record
             for f in record.failures:
                 self._register(f)
+        self.finish()
 
+    def finish(self, last: StepRecord | None = None) -> None:
+        """End the run: register the failures of last, the record at which a
+        consumer stopped transitions() early, then mark the run starved if
+        inputs are still deferred.  transitions() calls it when the run ends.
+        """
+        if last is not None:
+            for f in last.failures:
+                self._register(f)
         # A run that never got to some inputs says nothing about them.
         for domain, queue in self._deferred.items():
             if queue:
                 self._register(Failure("starved", f"domain {domain}: {len(queue)} "
                                                   f"input(s) still deferred when the run ended"))
 
+    def fork(self) -> "SystemRunner":
+        """An independent runner at the same point of the run.
+
+        The abstract state, the deferred inputs and the failures are copied;
+        the hardware state is immutable and shared.
+        """
+        twin = copy.copy(self)
+        st = self.abstract
+        twin.abstract = replace(
+            st, ta=set(st.ta),
+            objects={k: replace(o, payload=dict(o.payload)) for k, o in st.objects.items()},
+        )
+        twin._deferred = {d: list(q) for d, q in self._deferred.items()}
+        twin.failures = list(self.failures)
+        return twin
+
     def _slices(self, slices: int | None,
                 schedule: dict[int, list[list[Input]]] | None) -> Iterator[StepRecord]:
         total = slices if slices is not None else self.cfg.scenario.slices
         if schedule is None:
             schedule = self.cfg.scenario.inputs
-        for k in range(total):
+        for k in range(self.slice_index, total):
             domain = self.policy.domain_ids()[k % len(self.policy.domains)]
             # The round-robin successor was installed by the previous switch;
             # trust but verify, since schedules are defined positionally.

@@ -104,10 +104,15 @@ Trace = tuple[TraceOp, ...]
 Entry = tuple[int, int]  # (line-aligned physical tag, cachedness level >= 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CacheSet:
     ways: tuple[Optional[Entry], ...]
     meta: int = META_RESET
+
+    def __repr__(self) -> str:
+        # Exactly the dataclass text, which digests hash, without the
+        # generated repr's recursion guard: that guard is half its cost.
+        return f"CacheSet(ways={self.ways!r}, meta={self.meta!r})"
 
     def resident(self) -> tuple[Entry, ...]:
         return tuple(e for e in self.ways if e is not None)
@@ -598,24 +603,25 @@ class VisibleProjection:
     clock: int | None
 
 
+@functools.lru_cache(maxsize=64)
 def visible_set_indices(observer: int, policy: DomainPolicy, g: CacheGeometry,
-                        role: str) -> frozenset[int]:
+                        role: str) -> tuple[int, ...]:
+    """The observer's visible cache sets, in order; computed once per policy."""
     spec = policy.domain(observer)
     own = frozenset(
         i for i in range(g.num_sets) if g.colour_of_set(i) in spec.colours
     )
     global_sets = policy.global_set_indices(g)
     if role == "executing":
-        return own | global_sets
+        return tuple(sorted(own | global_sets))
     if role == "suspended":
-        return own - global_sets
+        return tuple(sorted(own - global_sets))
     raise ValueError(f"unknown observer role {role!r}")
 
 
 def visible_projection(state: MicroArchState, observer: int, policy: DomainPolicy,
                        role: str, g: CacheGeometry) -> VisibleProjection:
-    indices = visible_set_indices(observer, policy, g, role)
-    sets = tuple((i, state.sets[i]) for i in sorted(indices))
+    sets = tuple((i, state.sets[i]) for i in visible_set_indices(observer, policy, g, role))
     if role == "executing":
         return VisibleProjection(role, state.flushable, sets, state.clock)
     return VisibleProjection(role, None, sets, None)

@@ -148,7 +148,7 @@ def perturb_invisible(
     sets re-rolled.  With a single-domain policy covering every colour there
     is nothing invisible and the state comes back unchanged.
     """
-    visible = visible_set_indices(observer, policy, g, "executing")
+    visible = frozenset(visible_set_indices(observer, policy, g, "executing"))
     rng = random.Random(f"perturb:{seed}")
     by_set: dict[int, list[int]] = {}
     for line in universe_lines:

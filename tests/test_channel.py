@@ -1,5 +1,6 @@
 """Channel matrices, the plug-in estimator and its shuffle calibration."""
 
+import csv
 import dataclasses
 import math
 import random
@@ -10,17 +11,33 @@ from tpsim.channel import (
     CapacityReport,
     ChannelMatrix,
     PROTECTIONS,
+    _attack_objects,
     apparent_capacity_M0,
     attack_variant,
     measure_channel,
     mutual_information,
     prefetch_experiment,
-    read_matrix_csv,
     run_prime_probe,
     write_matrix_csv,
 )
-from tpsim.core import ConfigError
-from tpsim.kernel import HONEST_MECHANISM, PREFETCH_MECHANISM
+from tpsim.config import SYS_READ
+from tpsim.core import ConfigError, ModelError
+from tpsim.kernel import HONEST_MECHANISM, PREFETCH_MECHANISM, Failure, RunError, SystemRunner
+
+
+def read_matrix_csv(path, bin_width=None):
+    """Read back what write_matrix_csv writes."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0][:1] != ["symbol"]:
+        raise ConfigError(f"{path}: not a channel matrix CSV")
+    lower = [int(e) for e in rows[0][1:]]
+    width = lower[1] - lower[0] if len(lower) > 1 else (bin_width or 1)
+    return ChannelMatrix(
+        labels=tuple(row[0] for row in rows[1:]),
+        edges=tuple(lower + [lower[-1] + width]),
+        counts=tuple(tuple(int(c) for c in row[1:]) for row in rows[1:]),
+    )
 
 
 def mi_by_hand(counts):
@@ -244,6 +261,35 @@ def test_run_prime_probe_argument_checks(ref_cfg):
         run_prime_probe(ref_cfg, "on", 0, seed=0)
     with pytest.raises(ConfigError, match="unknown mode"):
         run_prime_probe(ref_cfg, "firewall", 1, seed=0)
+
+
+def test_probe_runs_that_stop_early_still_reject_a_broken_sample(ref_cfg, monkeypatch):
+    """A probe run stops at the probe step, yet a trojan input still deferred
+    there, or a failure in the probe step's record, must abort the sample:
+    neither may read as a closed channel."""
+    trojan = ref_cfg.policy.domain_ids()[1]
+    trojan_obj = _attack_objects(ref_cfg)[2]
+    worst_case_cost, step = SystemRunner.worst_case_cost, SystemRunner.step
+
+    def signal_never_fits(self, inp):
+        if inp.kind == SYS_READ and inp.obj == trojan_obj:
+            return 10 ** 9
+        return worst_case_cost(self, inp)
+
+    with monkeypatch.context() as m:
+        m.setattr(SystemRunner, "worst_case_cost", signal_never_fits)
+        with pytest.raises(ModelError, match=f"starved: domain {trojan}: 1 input"):
+            run_prime_probe(ref_cfg, "on", 3, seed=0)
+
+    def failing_probe(self, inp):
+        rec = step(self, inp)
+        if self.slice_index == 2:
+            rec = dataclasses.replace(rec, failures=(Failure("planted", "probe step"),))
+        return rec
+
+    monkeypatch.setattr(SystemRunner, "step", failing_probe)
+    with pytest.raises(RunError, match="planted: probe step"):
+        run_prime_probe(ref_cfg, "on", 3, seed=0)
 
 
 def test_protection_on_is_bit_identical(ref_cfg):

@@ -130,8 +130,11 @@ def test_scenario_inputs_are_parsed_at_load(raw):
     with pytest.raises(ConfigError, match=r"scenario\.inputs\[0\]\[0\]: expected a list"):
         parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0].__setitem__(
             0, {"kind": "noop"})))
+    with pytest.raises(ConfigError, match=r"scenario\.inputs\[0\]\[0\]\[0\]\.kind: .*None"):
+        parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0].__setitem__(
+            0, [{"op": "noop"}])))
     cfg = parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0].append(
-        [{"kind": "raw_access", "vaddr": "0x10020"}, {"op": "noop"}])))
+        [{"kind": "raw_access", "vaddr": "0x10020"}, {"kind": "noop"}])))
     assert cfg.scenario.inputs[0][3] == [Input(RAW_ACCESS, vaddr=0x10020), Input(NOOP)]
 
 

@@ -34,7 +34,7 @@ def random_geometry(rng):
 def test_reference_shape():
     assert REF_G.num_colours == 4
     assert REF_G.lines_per_page == 16
-    assert REF_G.sets_per_colour == 16
+    assert REF_G.num_sets // REF_G.num_colours == 16      # sets per colour
     assert len(REF_G.page_lines(0x400)) == 16
 
 

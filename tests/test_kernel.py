@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from tpsim.channel import PROTECTIONS, _attack_objects, attack_variant
 from tpsim.config import _parse_batch
 from tpsim.core import KERNEL_DOMAIN, ModelError, PolicyError, set_index_of
 from tpsim.kernel import (
@@ -16,6 +17,7 @@ from tpsim.kernel import (
     RAW_ACCESS,
     RunError,
     RunOptions,
+    StepRecord,
     SYS_ALLOC,
     SYS_READ,
     SYS_WRITE,
@@ -373,3 +375,51 @@ def test_record_inputs_read_back_as_scenario_inputs(ref_cfg):
     for rec in recs:
         d = json.loads(json.dumps(record_to_dict(rec)))
         assert _parse_batch([d["input"]], idents, "record") == [rec.input]
+
+
+@pytest.mark.parametrize("config", ["ref_cfg", "adv_cfg"])
+def test_forked_probe_runs_match_unforked_runs(request, config):
+    """Fork after the prime slice's switch, go on to the probe step: every
+    record up to it equals the unforked run's, in every field."""
+    cfg = request.getfixturevalue(config)
+    for protection in PROTECTIONS:
+        acfg, options = attack_variant(cfg, protection)
+        prime_obj, probe_obj, trojan_obj = _attack_objects(acfg)
+        spy, trojan = acfg.policy.domain_ids()[:2]
+        spy_batches = [[Input(USER_READ, obj=prime_obj)], [Input(SYS_READ, obj=probe_obj)]]
+        runner = SystemRunner(acfg, seed=protection, options=options)
+        prefix = list(runner.transitions(slices=1, schedule={spy: spy_batches}))
+        for signal in (Input(NOOP), Input(SYS_READ, obj=trojan_obj)):
+            schedule = {spy: spy_batches, trojan: [[signal]]}
+            whole = SystemRunner(acfg, seed=protection, options=options).run(
+                slices=3, schedule=schedule).records
+            forked = list(prefix)
+            for rec in runner.fork().transitions(slices=3, schedule=schedule):
+                forked.append(rec)
+                if rec.slice_index == 2 and rec.kind != "switch":
+                    break
+            assert len(forked) == len(whole) - 1       # all but the last switch
+            for a, b in zip(forked, whole):
+                for f in dataclasses.fields(StepRecord):
+                    assert getattr(a, f.name) == getattr(b, f.name), (protection, signal, f.name)
+
+
+def test_a_fork_shares_no_mutable_state_with_its_parent(ref_cfg):
+    r = SystemRunner(ref_cfg, seed=21, options=RunOptions(collect=True))
+    r.step(Input(USER_WRITE, obj="s_buf", offset=1, byte=5))
+    r._deferred[0].append(Input(NOOP))
+    before = (dict(r.abstract.objects["s_buf"].payload), set(r.abstract.ta),
+              {d: list(q) for d, q in r._deferred.items()}, list(r.failures), r.micro)
+
+    twin = r.fork()
+    twin.step(Input(USER_WRITE, obj="s_buf", offset=2, byte=9))    # payload byte
+    twin.step(Input(USER_READ, obj="s_probe"))                      # touched page
+    twin._register(twin.step(Input(RAW_ACCESS, vaddr=0x20000)).failures[0])   # a failure
+    twin._deferred[0].append(Input(USER_READ, obj="s_buf"))        # deferred input
+    twin._deferred[1].append(Input(NOOP))
+
+    assert twin.abstract.objects["s_buf"].payload == {1: 5, 2: 9}
+    assert twin.abstract.ta > before[1] and twin.failures and twin.micro != before[4]
+    after = (dict(r.abstract.objects["s_buf"].payload), set(r.abstract.ta),
+             {d: list(q) for d, q in r._deferred.items()}, list(r.failures), r.micro)
+    assert after == before
