@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -34,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import NOOP, SYS_READ, USER_READ, Input, RunConfig
-from .core import ConfigError
+from .core import ConfigError, fan_out, pool_size
 from .kernel import PREFETCH_MECHANISM, RunOptions, SystemRunner
 
 PROTECTIONS = ("on", "off", "prefetch", "targeted-flush")
@@ -312,33 +311,29 @@ def _probe_pair(cfg: RunConfig, options: RunOptions, seed: object, index: int,
     return latencies[0], latencies[1]
 
 
-def _collect_chunk(args) -> tuple[list[int], list[int]]:
-    """Probe latencies of samples lo..hi-1, for symbol 0 and for symbol 1."""
-    cfg, options, seed, lo, hi, objs = args
-    pairs = [_probe_pair(cfg, options, seed, i, *objs) for i in range(lo, hi)]
-    return [p[0] for p in pairs], [p[1] for p in pairs]
+def _probe_range(cfg: RunConfig, options: RunOptions, seed: object,
+                 objs: tuple[str, str, str], samples: range) -> list[tuple[int, int]]:
+    """Probe latency pairs of the given samples, in sample order."""
+    return [_probe_pair(cfg, options, seed, i, *objs) for i in samples]
 
 
 def run_prime_probe(cfg: RunConfig, protection: str, samples_per_symbol: int,
                     seed: object, jobs: int = 1) -> ChannelMatrix:
     """Collect the channel matrix for one protection mode.
 
-    The samples are cut into one contiguous range per job, and the ranges'
+    The samples are cut into one contiguous range per worker, and the ranges'
     latencies are joined in sample order, so any jobs gives the same matrix.
     """
     if samples_per_symbol < 1:
         raise ConfigError("samples_per_symbol: must be >= 1")
     acfg, options = attack_variant(cfg, protection)
     objs = _attack_objects(acfg)
-    chunk = math.ceil(samples_per_symbol / jobs)
-    work = [(acfg, options, seed, lo, min(lo + chunk, samples_per_symbol), objs)
-            for lo in range(0, samples_per_symbol, chunk)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pieces = list(pool.map(_collect_chunk, work))
-    else:
-        pieces = [_collect_chunk(w) for w in work]
-    samples = {str(s): [v for piece in pieces for v in piece[s]] for s in (0, 1)}
+    chunk = math.ceil(samples_per_symbol / pool_size(jobs, samples_per_symbol))
+    ranges = [range(lo, min(lo + chunk, samples_per_symbol))
+              for lo in range(0, samples_per_symbol, chunk)]
+    pairs = [p for piece in fan_out(_probe_range, (acfg, options, seed, objs), ranges, jobs)
+             for p in piece]
+    samples = {str(s): [p[s] for p in pairs] for s in (0, 1)}
     return ChannelMatrix.from_samples(samples, bin_width=cfg.analysis.bin_width)
 
 

@@ -21,6 +21,7 @@ from .config import INPUT_KINDS, KERNEL_CALLS, NOOP, RAW_ACCESS, SYS_ALLOC, Inpu
 from .core import (
     CacheGeometry,
     ConfigError,
+    fan_out,
     set_index_of,
     universe_lines,
 )
@@ -476,17 +477,24 @@ _INVARIANT_FNS: dict[str, Callable[[RunConfig, int, object], CheckResult]] = {
 }
 
 
-def run_suite(cfg: RunConfig, suite: str, trials: int, seed: object) -> list[CheckResult]:
+def _run_check(cfg: RunConfig, seed: object,
+               check: tuple[Callable[[RunConfig, int, object], CheckResult], int]) -> CheckResult:
+    fn, cases = check
+    return fn(cfg, cases, seed)
+
+
+def run_suite(cfg: RunConfig, suite: str, trials: int, seed: object,
+              jobs: int = 1) -> list[CheckResult]:
+    """Run a suite's checks, each in one of up to jobs processes; the results
+    come back in suite order and are the same for every jobs."""
     if suite not in SUITES:
         raise ConfigError(f"suite: unknown suite {suite!r}; know {', '.join(SUITES)}")
     if trials < 1:
         raise ConfigError(f"trials: must be at least 1, got {trials}")
-    results = []
+    checks = []
     if suite in ("properties", "all"):
-        for name in PROPERTY_CHECKS:
-            results.append(_PROPERTY_FNS[name](cfg, trials, seed))
+        checks += [(_PROPERTY_FNS[name], trials) for name in PROPERTY_CHECKS]
     if suite in ("invariants", "all"):
         # Whole runs cost more per case than the pointwise properties.
-        for name in INVARIANT_CHECKS:
-            results.append(_INVARIANT_FNS[name](cfg, max(1, trials // 20), seed))
-    return results
+        checks += [(_INVARIANT_FNS[name], max(1, trials // 20)) for name in INVARIANT_CHECKS]
+    return list(fan_out(_run_check, (cfg, seed), checks, jobs))

@@ -40,8 +40,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=1,
                      help="root of all randomness (default 1)")
     sub.add_argument("--jobs", type=positive_int, default=1,
-                     help="worker processes for sample collection; only attack and "
-                          "prefetch-experiment use it (default 1)")
+                     help="worker processes for independent samples, checks or "
+                          "trials, at most one per core; output does not depend "
+                          "on it (default 1)")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the generation timestamp line")
 
@@ -99,7 +100,7 @@ def _header(args: argparse.Namespace) -> None:
 
 def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"property check, suite={args.suite}, trials={args.trials}, seed={args.seed}")
-    results = run_suite(cfg, args.suite, args.trials, args.seed)
+    results = run_suite(cfg, args.suite, args.trials, args.seed, jobs=args.jobs)
     for r in results:
         print(r.format())
     failed = [r for r in results if not r.ok]
@@ -115,6 +116,7 @@ def cmd_confidentiality(cfg: RunConfig, args: argparse.Namespace) -> int:
     mutation = None if args.mutation == "none" else args.mutation
     report = check_confidentiality(
         cfg, observer, trials, args.seed, variant=args.variant, mutation=mutation,
+        jobs=args.jobs,
     )
     print(report.format())
     return 1 if report.violations or not report.hypothesis_ok else 0

@@ -24,6 +24,8 @@ information flow, and a trace selector that keys on hidden state.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import random
 from dataclasses import dataclass, field, replace
 
@@ -34,6 +36,7 @@ from .core import (
     DomainPolicy,
     KERNEL_DOMAIN,
     colour_of,
+    fan_out,
     physical_universe,
     validate_policy,
 )
@@ -376,6 +379,41 @@ def _run_once(cfg: RunConfig, options: RunOptions, trial_key: str, tag: str,
     return views, None, hypothesis[:3]
 
 
+def _trial(cfg: RunConfig, options: RunOptions, observer: int, include_micro: bool,
+           seed: object, trial: int):
+    """One trial pair.  Returns its hypothesis notes, the failure that aborted
+    it (or None), the number of transitions compared and the first violation
+    (or None)."""
+    trial_key = f"{seed}:t{trial}"
+    sides, notes = [], []
+    for tag in ("A", "B"):
+        views, abort, hypothesis = _run_once(cfg, options, trial_key, tag, observer)
+        if abort is not None:
+            notes.append(f"trial {trial} run {tag} aborted: {abort}")
+        notes.extend(f"trial {trial} run {tag}: {h}" for h in hypothesis)
+        if abort is not None:
+            return notes, abort, 0, None
+        sides.append(views)
+
+    va, vb = sides
+    if len(va) != len(vb):
+        return notes, None, 0, Violation(
+            trial=trial, transition=min(len(va), len(vb)), kind="run",
+            slice_index=-1, domain=-1, field="transition-count",
+            a=str(len(va)), b=str(len(vb)),
+        )
+    for i, ((ctx, view_a), (_, view_b)) in enumerate(zip(va, vb)):
+        diff = _diff_views(view_a, view_b, include_micro)
+        if diff is not None:
+            name, a, b = diff
+            return notes, None, i + 1, Violation(
+                trial=trial, transition=i, kind=ctx[0],
+                slice_index=ctx[1], domain=ctx[2], field=name,
+                a=repr(a)[:_CLIP], b=repr(b)[:_CLIP],
+            )
+    return notes, None, len(va), None
+
+
 def check_confidentiality(
     cfg: RunConfig,
     observer: int,
@@ -383,9 +421,14 @@ def check_confidentiality(
     seed: object,
     variant: str = "u-mu",
     mutation: str | None = None,
+    jobs: int = 1,
 ) -> ConfidentialityReport:
     """Run the two-run checker for either property variant.  It stops at the
-    first trial that aborts or shows a violation."""
+    first trial that aborts or shows a violation.
+
+    Trial 0 runs in the calling process; with jobs > 1 the later trials run in
+    up to jobs processes, and their outcomes are folded in trial order, so the
+    report is the same for every jobs."""
     if variant not in ("u", "u-mu"):
         raise ConfigError(f"unknown variant {variant!r}; know u, u-mu")
     if trials < 1:
@@ -415,46 +458,22 @@ def check_confidentiality(
 
     # Only the first trial that breaches the hypothesis adds notes, but the
     # search for a violation goes on: some defects first show dozens of
-    # trials in.
+    # trials in.  Many defects show in trial 0, so it runs before any worker
+    # starts, and a search that ends there starts none.
+    shared = (cfg, options, observer, include_micro, seed)
     noted = False
-    for trial in range(trials):
-        trial_key = f"{seed}:t{trial}"
-        sides, notes = [], []
-        for tag in ("A", "B"):
-            views, abort, hypothesis = _run_once(cfg, options, trial_key, tag, observer)
-            if abort is not None:
-                notes.append(f"trial {trial} run {tag} aborted: {abort}")
-            notes.extend(f"trial {trial} run {tag}: {h}" for h in hypothesis)
-            sides.append(views)
+    with contextlib.closing(fan_out(_trial, shared, range(1, trials), jobs)) as later:
+        for notes, abort, transitions, violation in itertools.chain(
+                [_trial(*shared, 0)], later):
+            if notes and not noted:
+                report.hypothesis_ok = False
+                report.hypothesis_notes.extend(notes)
+                noted = True
             if abort is not None:
                 break
-        if notes and not noted:
-            report.hypothesis_ok = False
-            report.hypothesis_notes.extend(notes)
-            noted = True
-        if abort is not None:
-            break
-
-        va, vb = sides
-        if len(va) != len(vb):
-            report.violations.append(Violation(
-                trial=trial, transition=min(len(va), len(vb)), kind="run",
-                slice_index=-1, domain=-1, field="transition-count",
-                a=str(len(va)), b=str(len(vb)),
-            ))
-            break
-        for i, ((ctx, view_a), (_, view_b)) in enumerate(zip(va, vb)):
-            report.transitions += 1
-            diff = _diff_views(view_a, view_b, include_micro)
-            if diff is not None:
-                name, a, b = diff
-                report.violations.append(Violation(
-                    trial=trial, transition=i, kind=ctx[0],
-                    slice_index=ctx[1], domain=ctx[2], field=name,
-                    a=repr(a)[:_CLIP], b=repr(b)[:_CLIP],
-                ))
+            report.transitions += transitions
+            if violation is not None:
+                report.violations.append(violation)
                 break
-        if report.violations:
-            break
 
     return report

@@ -10,14 +10,17 @@ cache state belonging to another.
 
 Everything here is plain integer arithmetic over byte addresses.  Virtual and
 physical addresses are non-negative ints; pages and cache lines are identified
-by their base address.
+by their base address.  fan_out, at the end, is the one way the model spreads
+independent units of work (samples, checks, trials) over processes.
 """
 
 from __future__ import annotations
 
 import functools
+import multiprocessing
+import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class ModelError(Exception):
@@ -34,6 +37,10 @@ class TranslationFault(ModelError):
     def __init__(self, vaddr: int):
         super().__init__(f"no translation for virtual address {vaddr:#x}")
         self.vaddr = vaddr
+
+    def __reduce__(self):
+        # Rebuilt from vaddr, not the message, when it crosses from a worker.
+        return type(self), (self.vaddr,)
 
 
 class PolicyError(ModelError):
@@ -312,3 +319,48 @@ def universe_lines(universe_pages: Iterable[int], g: CacheGeometry) -> frozenset
     for page in universe_pages:
         lines.update(g.page_lines(page))
     return frozenset(lines)
+
+
+def pool_size(jobs: int, items: int) -> int:
+    """Worker processes for items independent units: at most jobs, and never
+    more than there are units or cores."""
+    return max(1, min(jobs, items, os.cpu_count() or 1))
+
+
+# Set once in each worker process by the pool initializer: the function and
+# the shared arguments of every task the worker runs.
+_worker_task: tuple = ()
+
+
+def _init_worker(fn: Callable, shared: tuple) -> None:
+    global _worker_task
+    _worker_task = (fn, shared)
+
+
+def _run_item(item):
+    fn, shared = _worker_task
+    return fn(*shared, item)
+
+
+def fan_out(fn: Callable, shared: tuple, items: Sequence, jobs: int) -> Iterator:
+    """Yield fn(*shared, item) for each item, in item order.
+
+    With one worker (see pool_size) everything runs in the calling process.
+    Otherwise a process pool does: each worker receives shared once, and a
+    task carries only its item.  As long as fn depends on its arguments alone,
+    results are the same for every jobs.  Closing the generator before the
+    end (a consumer that may stop early should use contextlib.closing)
+    terminates and joins the pool at once, without waiting for items already
+    started.
+    """
+    workers = pool_size(jobs, len(items))
+    if workers == 1:
+        for item in items:
+            yield fn(*shared, item)
+        return
+    pool = multiprocessing.Pool(workers, _init_worker, (fn, shared))
+    try:
+        yield from pool.imap(_run_item, items, chunksize=1)
+    finally:
+        pool.terminate()
+        pool.join()

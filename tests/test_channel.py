@@ -310,8 +310,11 @@ def test_protection_off_separates_cleanly(ref_cfg):
 def test_parallel_collection_matches_serial(ref_cfg):
     serial = run_prime_probe(ref_cfg, "off", 8, seed="par")
     assert serial.labels == ("0", "1") and serial.samples_per_symbol == 8
-    for jobs in (2, 3):                  # even and uneven ranges of samples
+    for jobs in (2, 3):
         assert run_prime_probe(ref_cfg, "off", 8, seed="par", jobs=jobs) == serial
+    # Seven samples over two workers: ranges of unequal length.
+    assert run_prime_probe(ref_cfg, "off", 7, seed="par", jobs=2) \
+        == run_prime_probe(ref_cfg, "off", 7, seed="par")
 
 
 def test_measure_channel_and_prefetch_notes(ref_cfg, adv_cfg):

@@ -47,6 +47,13 @@ def test_all_suite_is_both(ref_cfg):
     assert set(SUITES) == {"properties", "invariants", "all"}
 
 
+@pytest.mark.parametrize("cfg_name", ["ref_cfg", "adv_cfg"])
+def test_run_suite_is_the_same_for_any_jobs(request, cfg_name):
+    cfg = request.getfixturevalue(cfg_name)
+    for suite in SUITES:
+        assert run_suite(cfg, suite, 40, "jobs", jobs=2) == run_suite(cfg, suite, 40, "jobs")
+
+
 def test_peeking_selector_fails_the_dependency_check(ref_cfg):
     honest = check_selector_dependency(ref_cfg, trials=100, seed="peek")
     assert honest.ok

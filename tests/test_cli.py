@@ -128,8 +128,9 @@ def test_jobs_is_accepted_by_every_command(capsys, config_dir):
                  ["confidentiality", cfgp, "--trials", "2"],
                  ["attack", cfgp, "--samples", "4"],
                  ["prefetch-experiment", cfgp, "--samples", "4"]):
-        code, _, _ = run_cli(capsys, *argv, "--jobs", "2", "--no-timestamp")
+        code, out, _ = run_cli(capsys, *argv, "--jobs", "2", "--no-timestamp")
         assert code == 0, argv
+        assert (code, out) == run_cli(capsys, *argv, "--jobs", "1", "--no-timestamp")[:2], argv
 
 
 def test_run_suite_rejects_no_trials(ref_cfg):

@@ -1,6 +1,7 @@
 """Two-run checking: honest systems pass, every planted defect is caught."""
 
 import dataclasses
+import multiprocessing
 import random
 
 import pytest
@@ -202,3 +203,30 @@ def test_an_aborting_run_notes_its_failing_record_first(ref_cfg):
         "['OffCoreFlush', 'OnCoreFlush'], not the exact flush/flush/pad sequence",
     ]
     assert rep.transitions == 0 and not rep.violations
+
+
+@pytest.mark.parametrize("variant,mutation,policy_change", [
+    pytest.param("u", None, {}, id="honest-u"),
+    pytest.param("u-mu", None, {}, id="honest-u-mu"),
+    *(pytest.param("u-mu", m, {}, id=m) for m in MUTATIONS),
+    # Notes from trial 0, and no violation in any trial.
+    pytest.param("u", "no-pad", {}, id="no-pad-u"),
+    pytest.param("u-mu", None, {"switch_deadline": 8}, id="aborting"),
+])
+def test_report_is_the_same_for_any_jobs(ref_cfg, variant, mutation, policy_change):
+    cfg = dataclasses.replace(ref_cfg, policy=dataclasses.replace(ref_cfg.policy, **policy_change))
+    trials = 200 if mutation and variant == "u-mu" else 12
+    serial, parallel = (
+        check_confidentiality(cfg, 0, trials, 1, variant=variant, mutation=mutation, jobs=jobs)
+        for jobs in (1, 2)
+    )
+    for f in dataclasses.fields(serial):
+        assert getattr(parallel, f.name) == getattr(serial, f.name), f.name
+    if policy_change:
+        assert serial.hypothesis_notes and "aborted" in serial.hypothesis_notes[0]
+
+
+def test_a_search_that_stops_early_leaves_no_worker(ref_cfg):
+    rep = check_confidentiality(ref_cfg, 0, 200, 1, mutation="no-offcore-global-flush", jobs=2)
+    assert rep.first_witness.trial == 15
+    assert multiprocessing.active_children() == []

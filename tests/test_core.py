@@ -1,6 +1,11 @@
-"""Geometry, colouring and policy checks against brute-force oracles."""
+"""Geometry, colouring and policy checks against brute-force oracles, and the
+process fan-out."""
 
+import multiprocessing
+import os
 import random
+import signal
+import time
 
 import pytest
 
@@ -13,7 +18,9 @@ from tpsim.core import (
     TranslationFault,
     collision_set_of,
     colour_of,
+    fan_out,
     physical_universe,
+    pool_size,
     set_index_of,
     universe_lines,
     validate_policy,
@@ -220,3 +227,71 @@ def test_physical_universe_covers_everything(ref_cfg):
     assert ref_cfg.policy.global_pages(ref_cfg.geometry) <= uni
     lines = universe_lines(uni, ref_cfg.geometry)
     assert len(lines) == len(uni) * ref_cfg.geometry.lines_per_page
+
+
+# Workers look these up by name, so they live at module level.
+def _tagged(tag, item):
+    return tag, item, os.getpid()
+
+
+def _nap(item):
+    time.sleep(item)
+    return item
+
+
+def _fail_on(bad, item):
+    if item == bad:
+        raise TranslationFault(item)
+    return item
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("fan_out did not return")
+
+
+def test_pool_size_is_bounded_by_jobs_items_and_cores(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert pool_size(64, 4) == 4          # attack --samples 4 --jobs 64
+    assert pool_size(64, 100) == 8
+    assert pool_size(3, 100) == 3
+    assert pool_size(2, 1) == 1
+    assert pool_size(2, 0) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pool_size(4, 10) == 1
+
+
+def test_fan_out_keeps_item_order_and_runs_one_worker_in_the_caller():
+    items = list(range(7))
+    serial = list(fan_out(_tagged, ("x",), items, 1))
+    assert [r[:2] for r in serial] == [("x", i) for i in items]
+    assert {r[2] for r in serial} == {os.getpid()}
+    assert [r[2] for r in fan_out(_tagged, ("x",), [5], 2)] == [os.getpid()]
+    parallel = list(fan_out(_tagged, ("x",), items, 2))
+    assert [r[:2] for r in parallel] == [r[:2] for r in serial]
+    if pool_size(2, len(items)) > 1:
+        assert os.getpid() not in {r[2] for r in parallel}
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_stopped_early_does_not_wait_for_started_items():
+    results = fan_out(_nap, (), [0, 30, 30, 30], 2)
+    assert next(results) == 0
+    start = time.monotonic()
+    results.close()
+    assert time.monotonic() - start < 15
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_raises_a_worker_error_and_leaves_no_worker():
+    # The error crosses a pickle boundary; one that cannot be rebuilt there
+    # would leave the caller waiting for ever, hence the alarm.
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(60)
+    try:
+        with pytest.raises(TranslationFault) as e:
+            list(fan_out(_fail_on, (0x3000,), list(range(0x1000, 0x6000, 0x1000)), 2))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert e.value.vaddr == 0x3000
+    assert multiprocessing.active_children() == []

@@ -41,6 +41,13 @@ GOLDEN = [
      "5ad6b54bd8c383f76a4a99ccea7356474f08ed08db34acdffba3cdaedbcee445"),
     (("check", "reference", "--suite", "all", "--trials", "100"), 0,
      "4b58ac7145322cc236b3e593338f7cc86fd064a5638417e639695cec483ee41e"),
+    # --jobs spreads checks and trials too, and the digests stay the serial ones.
+    (("check", "reference", "--suite", "all", "--trials", "100", "--jobs", "2"), 0,
+     "4b58ac7145322cc236b3e593338f7cc86fd064a5638417e639695cec483ee41e"),
+    (("confidentiality", "reference", "--trials", "30", "--jobs", "2"), 0,
+     "c91ba9739de73771f89708294b82ac26abd6605bd6fe99afe89f73261440b8c4"),
+    (("confidentiality", "reference", "--trials", "30", "--mutation", "no-pad", "--jobs", "2"), 1,
+     "6f5db2eb49c366c28a1e475670b8d52becff6949ee78d080a1feeedb711b81d3"),
 ]
 
 
