@@ -9,6 +9,10 @@ The locality checks all follow one scheme: construct two states that agree
 exactly on the slice of state an operation is allowed to depend on, hand both
 the same nondeterminism, and require identical costs (and, where it applies,
 identical effects on that slice).
+
+Random states are drawn from a plan built once per config, by getrandbits
+alone but word for word the stream of Random.randint, sample and shuffle: a
+seed gives the states those calls would.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from typing import Callable, Collection, Iterable
 
 from .config import INPUT_KINDS, KERNEL_CALLS, NOOP, RAW_ACCESS, SYS_ALLOC, Input, RunConfig
 from .core import (
-    CacheGeometry,
     ConfigError,
     fan_out,
     set_index_of,
@@ -28,7 +31,6 @@ from .core import (
 from .kernel import RunOptions, StepRecord, SystemRunner, partition_subset_invariant
 from .microarch import (
     CacheSet,
-    CostModel,
     MicroArchState,
     NondetOracle,
     OffCoreFlush,
@@ -44,7 +46,8 @@ from .microarch import (
     flushable_reset,
     visible_projection,
 )
-from .selector import perturb_invisible, select_trace, select_trace_peeking
+from .selector import (PoolPlan, draw_ways, perturb_invisible, pool_plans, select_trace,
+                       select_trace_peeking)
 
 PROPERTY_CHECKS = (
     "access-cost-locality",
@@ -83,45 +86,31 @@ class CheckResult:
 
 # --- random state construction ---------------------------------------------------
 
-def _set_pools(cfg: RunConfig) -> dict[int, list[int]]:
-    pools: dict[int, list[int]] = {i: [] for i in range(cfg.geometry.num_sets)}
-    for line in sorted(universe_lines(cfg.universe_pages, cfg.geometry)):
-        pools[set_index_of(line, cfg.geometry)].append(line)
-    return pools
+def _state_plan(cfg: RunConfig) -> list[PoolPlan]:
+    """What _random_state draws from: each set's pool_plans entry, in order."""
+    g = cfg.geometry
+    return list(pool_plans(universe_lines(cfg.universe_pages, g), g, range(g.num_sets)).values())
 
 
-def _random_set(rng: random.Random, g: CacheGeometry, cm: CostModel,
-                pool: list[int], adversarial: bool) -> CacheSet:
-    n = rng.randint(0, g.num_ways)
-    lines = rng.sample(pool, min(n, len(pool)))
-    ways = [(g.line_of(p), rng.randint(1, cm.max_level)) for p in lines]
-    ways += [None] * (g.num_ways - len(ways))
-    rng.shuffle(ways)
-    if adversarial:
-        meta = rng.getrandbits(64)
-    else:
-        meta = rng.getrandbits(max(g.num_ways - 1, 1))
-    return CacheSet(ways=tuple(ways), meta=meta)
+def _random_sets(rng: random.Random, cfg: RunConfig, plan: list[PoolPlan]) -> tuple[CacheSet, ...]:
+    nways, level = cfg.geometry.num_ways, cfg.cost_model.max_level
+    bits = 64 if cfg.policy.replacement == "adversarial" else max(nways - 1, 1)
+    return tuple(CacheSet(draw_ways(rng, tags, widths, nways, level, shuffle=True),
+                          rng.getrandbits(bits)) for tags, widths in plan)
 
 
-def _random_state(rng: random.Random, cfg: RunConfig,
-                  pools: dict[int, list[int]]) -> MicroArchState:
-    g, cm = cfg.geometry, cfg.cost_model
-    adversarial = cfg.policy.replacement == "adversarial"
-    sets = tuple(
-        _random_set(rng, g, cm, pools[i], adversarial) for i in range(g.num_sets)
-    )
-    flushable = tuple(rng.getrandbits(64) for _ in range(cm.flushable_words))
-    return MicroArchState(flushable=flushable, sets=sets,
-                          clock=rng.randrange(1 << 20))
+def _random_state(rng: random.Random, cfg: RunConfig, plan: list[PoolPlan]) -> MicroArchState:
+    sets = _random_sets(rng, cfg, plan)
+    flushable = tuple(rng.getrandbits(64) for _ in range(cfg.cost_model.flushable_words))
+    while (clock := rng.getrandbits(21)) >> 20:     # rng.randrange(1 << 20)
+        pass
+    return MicroArchState(flushable=flushable, sets=sets, clock=clock)
 
 
-def _reroll_set(rng: random.Random, cfg: RunConfig, pools: dict[int, list[int]],
+def _reroll_set(rng: random.Random, cfg: RunConfig, plan: list[PoolPlan],
                 state: MicroArchState, j: int) -> MicroArchState:
     """state with cache set j replaced by a fresh random set."""
-    adversarial = cfg.policy.replacement == "adversarial"
-    fresh = _random_set(rng, cfg.geometry, cfg.cost_model, pools[j], adversarial)
-    return replace(state, sets=state.sets[:j] + (fresh,) + state.sets[j + 1:])
+    return replace(state, sets=state.sets[:j] + _random_sets(rng, cfg, plan[j:j + 1]) + state.sets[j + 1:])
 
 
 # --- cost locality ---------------------------------------------------------------
@@ -158,15 +147,15 @@ def check_access_cost_locality(cfg: RunConfig, trials: int, seed: object) -> Che
     cost and the accessed set's new content unchanged."""
     res = CheckResult("access-cost-locality", trials)
     g = cfg.geometry
-    pools = _set_pools(cfg)
+    plan = _state_plan(cfg)
     rng = random.Random(f"{seed}:access-locality")
     lines = sorted(universe_lines(cfg.universe_pages, g))
     for t in range(trials):
-        s1 = _random_state(rng, cfg, pools)
+        s1 = _random_state(rng, cfg, plan)
         p = rng.choice(lines)
         idx = set_index_of(p, g)
-        others = [i for i in range(g.num_sets) if i != idx and pools[i]]
-        s2 = _reroll_set(rng, cfg, pools, s1, rng.choice(others))
+        others = [i for i in range(g.num_sets) if i != idx and plan[i][0]]
+        s2 = _reroll_set(rng, cfg, plan, s1, rng.choice(others))
         op = Read(rng.getrandbits(32), p) if rng.random() < 0.75 else Write(rng.getrandbits(32), p)
         bad, _ = _paired_apply(cfg, s1, s2, op, f"{seed}:al:{t}",
                                sets={idx}, flushable=True)
@@ -180,15 +169,15 @@ def check_offcore_flush_locality(cfg: RunConfig, trials: int, seed: object) -> C
     ignores other sets, and other sets come through untouched."""
     res = CheckResult("offcore-flush-locality", trials)
     g = cfg.geometry
-    pools = _set_pools(cfg)
+    plan = _state_plan(cfg)
     rng = random.Random(f"{seed}:offcore-locality")
     lines = sorted(universe_lines(cfg.universe_pages, g))
     for t in range(trials):
-        s1 = _random_state(rng, cfg, pools)
+        s1 = _random_state(rng, cfg, plan)
         targets = frozenset(rng.sample(lines, rng.randint(1, 3)))
         indices = {set_index_of(a, g) for a in targets}
-        others = [i for i in range(g.num_sets) if i not in indices and pools[i]]
-        s2 = _reroll_set(rng, cfg, pools, s1, rng.choice(others))
+        others = [i for i in range(g.num_sets) if i not in indices and plan[i][0]]
+        s2 = _reroll_set(rng, cfg, plan, s1, rng.choice(others))
         bad, r1 = _paired_apply(cfg, s1, s2, OffCoreFlush(targets), f"{seed}:ol:{t}",
                                 sets=indices)
         unscrubbed = [i for i in sorted(indices) if not r1.sets[i].is_empty() or r1.sets[i].meta]
@@ -203,11 +192,11 @@ def check_oncore_flush_dependence(cfg: RunConfig, trials: int, seed: object) -> 
     """The on-core flush cost is a function of the flushable words alone, and
     its effect resets them regardless of everything else."""
     res = CheckResult("oncore-flush-dependence", trials)
-    pools = _set_pools(cfg)
+    plan = _state_plan(cfg)
     rng = random.Random(f"{seed}:oncore-dependence")
     for t in range(trials):
-        s1 = _random_state(rng, cfg, pools)
-        s2 = replace(_random_state(rng, cfg, pools), flushable=s1.flushable)
+        s1 = _random_state(rng, cfg, plan)
+        s2 = replace(_random_state(rng, cfg, plan), flushable=s1.flushable)
         bad, r1 = _paired_apply(cfg, s1, s2, OnCoreFlush(), f"{seed}:on:{t}",
                                 flushable=True)
         if bad is None and r1.flushable != flushable_reset(cfg.cost_model.flushable_words):
@@ -221,11 +210,11 @@ def check_wcet_bounds(cfg: RunConfig, trials: int, seed: object) -> CheckResult:
     """Every operation's cost observes the configured bounds on every state."""
     res = CheckResult("wcet-bounds", trials)
     g, cm = cfg.geometry, cfg.cost_model
-    pools = _set_pools(cfg)
+    plan = _state_plan(cfg)
     rng = random.Random(f"{seed}:wcet")
     lines = sorted(universe_lines(cfg.universe_pages, g))
     for t in range(trials):
-        s = _random_state(rng, cfg, pools)
+        s = _random_state(rng, cfg, plan)
         oracle = NondetOracle(key=f"{seed}:wc:{t}")
         pick = rng.randrange(4)
         if pick == 0:
@@ -285,13 +274,13 @@ def check_selector_dependency(cfg: RunConfig, trials: int, seed: object,
     name = "selector-dependency" + ("-peeking" if peeking else "")
     res = CheckResult(name, trials)
     g = cfg.geometry
-    pools = _set_pools(cfg)
+    plan = _state_plan(cfg)
     rng = random.Random(f"{seed}:selector")
     vpages = sorted(cfg.amap.mapped_pages())
     ulines = universe_lines(cfg.universe_pages, g)
     budget = cfg.analysis.trace_budget
     for t in range(trials):
-        s1 = _random_state(rng, cfg, pools)
+        s1 = _random_state(rng, cfg, plan)
         observer = rng.choice(cfg.policy.domain_ids())
         s2 = perturb_invisible(s1, observer, cfg.policy, g, ulines,
                                f"{seed}:perturb:{t}", max_level=cfg.cost_model.max_level)

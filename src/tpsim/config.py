@@ -335,7 +335,19 @@ def _check_objects(cfg: RunConfig) -> None:
             p += cfg.geometry.page_size
 
 
+def worst_input_cost(cfg: RunConfig, kind: str, kernel_ops: int) -> int:
+    """Most cycles an input of kind can take: each op a miss that evicts, at top jitter."""
+    user_ops = {NOOP: 0, RAW_ACCESS: cfg.geometry.lines_per_page}.get(kind, cfg.analysis.trace_budget)
+    return (kernel_ops + user_ops) * (cfg.cost_model.miss_evict_cost + cfg.cost_model.jitter)
+
+
 def validate_config(cfg: RunConfig) -> None:
     problems = validate_policy(cfg.policy, cfg.amap, cfg.geometry)
     if problems:
         raise ConfigError("policy: " + "; ".join(problems))
+    walk = len(cfg.policy.kernel_globals) + cfg.geometry.lines_per_page * max(
+        len(d.kernel_image) for d in cfg.policy.domains)     # the longest kernel-call walk
+    worst = max(worst_input_cost(cfg, k, walk if k in KERNEL_CALLS else 0) for k in INPUT_KINDS)
+    if cfg.policy.slice_length < worst:
+        raise ConfigError(f"policy.slice_length: {cfg.policy.slice_length} is below {worst}, "
+                          f"the worst-case cost of a single input, so that input could never run")

@@ -42,6 +42,7 @@ from .config import (
     USER_WRITE,
     Input,
     RunConfig,
+    worst_input_cost,
 )
 from .core import (
     AddressMap,
@@ -420,15 +421,7 @@ class SystemRunner:
     # -- cost bounds for the deferral rule --
 
     def worst_case_cost(self, input: Input) -> int:
-        per_op = self.cm.miss_evict_cost + self.cm.jitter
-        kernel_ops = len(self._kernel_walk(input, self.abstract.current))
-        if input.kind == NOOP:
-            user_ops = 0
-        elif input.kind == RAW_ACCESS:
-            user_ops = self.g.lines_per_page
-        else:
-            user_ops = self.cfg.analysis.trace_budget
-        return (kernel_ops + user_ops) * per_op
+        return worst_input_cost(self.cfg, input.kind, len(self._kernel_walk(input, self.abstract.current)))
 
     # -- one step -------------------------------------------------------------
 

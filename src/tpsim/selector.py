@@ -12,6 +12,7 @@ That restriction is what lets the confidentiality argument go through; the
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from typing import Iterable
@@ -19,6 +20,7 @@ from typing import Iterable
 from .core import AddressMap, CacheGeometry, DomainPolicy, set_index_of
 from .microarch import (
     CacheSet,
+    Entry,
     MicroArchState,
     Read,
     Trace,
@@ -132,6 +134,64 @@ def select_trace_peeking(
     )
 
 
+PoolPlan = tuple[tuple[int, ...], tuple[int, ...] | None]
+
+
+def pool_plans(universe: Iterable[int], g: CacheGeometry, sets: Iterable[int]) -> dict[int, PoolPlan]:
+    """What draw_ways needs for each of sets: its pool among the universe's
+    lines, and the widths of the draws Random.sample makes to take up to
+    num_ways of it from a list (None over 21 lines: then it may use a set)."""
+    pools: dict[int, list[int]] = {i: [] for i in sets}
+    for line in sorted(universe):
+        if (i := set_index_of(line, g)) in pools:
+            pools[i].append(g.line_of(line))
+    return {i: (tuple(p), None if len(p) > 21 else
+                tuple((len(p) - k).bit_length() for k in range(min(len(p), g.num_ways))))
+            for i, p in pools.items()}
+
+
+def draw_ways(rng: random.Random, tags: tuple[int, ...], widths: tuple[int, ...] | None,
+              ways: int, max_level: int, shuffle: bool = False) -> tuple[Entry | None, ...]:
+    """A random cache set's ways, drawn word for word as this draws them:
+        out = [(t, rng.randint(1, max_level))
+               for t in rng.sample(tags, min(rng.randint(0, ways), len(tags)))]
+        out += [None] * (ways - len(out)); if shuffle: rng.shuffle(out)
+    but by rng.getrandbits alone, each loop a Random._randbelow; see pool_plans."""
+    grb, w = rng.getrandbits, (ways + 1).bit_length()
+    while (n := grb(w)) > ways:
+        pass
+    k = min(n, len(tags))
+    if widths is None:
+        picked = rng.sample(tags, k)
+    else:
+        pool, size, picked = list(tags), len(tags), []
+        for i in range(k):
+            while (j := grb(widths[i])) >= size - i:
+                pass
+            picked.append(pool[j])
+            pool[j] = pool[size - i - 1]
+    w = max_level.bit_length()
+    out: list[Entry | None] = [None] * ways
+    for i, t in enumerate(picked):
+        while (level := grb(w)) >= max_level:
+            pass
+        out[i] = (t, level + 1)
+    for i in range(ways - 1, 0, -1) if shuffle else ():
+        w = (i + 1).bit_length()
+        while (j := grb(w)) > i:
+            pass
+        out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _perturb_plan(observer: int, policy: DomainPolicy, g: CacheGeometry,
+                  universe: frozenset[int]) -> tuple[tuple[int, PoolPlan], ...]:
+    """pool_plans for each set the executing observer cannot see, once per policy."""
+    hidden = set(range(g.num_sets)).difference(visible_set_indices(observer, policy, g, "executing"))
+    return tuple(pool_plans(universe, g, sorted(hidden)).items())
+
+
 def perturb_invisible(
     state: MicroArchState,
     observer: int,
@@ -148,26 +208,12 @@ def perturb_invisible(
     sets re-rolled.  With a single-domain policy covering every colour there
     is nothing invisible and the state comes back unchanged.
     """
-    visible = frozenset(visible_set_indices(observer, policy, g, "executing"))
-    rng = random.Random(f"perturb:{seed}")
-    by_set: dict[int, list[int]] = {}
-    for line in universe_lines:
-        by_set.setdefault(set_index_of(line, g), []).append(line)
-
-    new_sets = list(state.sets)
-    changed = False
-    for idx in range(g.num_sets):
-        if idx in visible:
-            continue
-        candidates = sorted(by_set.get(idx, []))
-        ways: list[tuple[int, int] | None] = [None] * g.num_ways
-        if candidates:
-            occupancy = rng.randint(0, g.num_ways)
-            tags = rng.sample(candidates, min(occupancy, len(candidates)))
-            for i, t in enumerate(tags):
-                ways[i] = (g.line_of(t), rng.randint(1, max_level))
-        new_sets[idx] = CacheSet(tuple(ways), meta=rng.getrandbits(64))
-        changed = True
-    if not changed:
+    plan = _perturb_plan(observer, policy, g, frozenset(universe_lines))
+    if not plan:
         return state
+    rng = random.Random(f"perturb:{seed}")
+    new_sets = list(state.sets)
+    for idx, (tags, widths) in plan:
+        ways = draw_ways(rng, tags, widths, g.num_ways, max_level) if tags else (None,) * g.num_ways
+        new_sets[idx] = CacheSet(ways, rng.getrandbits(64))
     return MicroArchState(state.flushable, tuple(new_sets), state.clock)

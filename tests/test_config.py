@@ -146,6 +146,19 @@ def test_validate_config_catches_colour_overlap(raw, ref_cfg):
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("name", ["reference.yaml", "adversarial.yaml"])
+def test_validate_config_rejects_a_slice_no_kernel_call_fits(config_dir, name):
+    """A kernel call walks the 3 globals and a 16-line image and may trace 64
+    ops, each at most a miss that evicts plus jitter: 83 * 31 = 2573 cycles.
+    A shorter slice could never run one, so it is rejected at load."""
+    raw = yaml.safe_load((config_dir / name).read_text())
+    fits = parse_config(_broken(raw, lambda d: d["policy"].update(slice_length=2573)))
+    validate_config(fits)
+    short = parse_config(_broken(raw, lambda d: d["policy"].update(slice_length=2572)))
+    with pytest.raises(ConfigError, match=r"policy\.slice_length: 2572 is below 2573"):
+        validate_config(short)
+
+
 def test_load_config_io_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.yaml")
