@@ -18,8 +18,8 @@ seed gives the states those calls would.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Callable, Collection, Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Collection, Iterable, Iterator
 
 from .config import INPUT_KINDS, KERNEL_CALLS, NOOP, RAW_ACCESS, SYS_ALLOC, Input, RunConfig
 from .core import (
@@ -28,7 +28,7 @@ from .core import (
     set_index_of,
     universe_lines,
 )
-from .kernel import RunOptions, StepRecord, SystemRunner, partition_subset_invariant
+from .kernel import RunOptions, RunResult, StepRecord, SystemRunner, partition_subset_invariant
 from .microarch import (
     CacheSet,
     MicroArchState,
@@ -110,7 +110,7 @@ def _random_state(rng: random.Random, cfg: RunConfig, plan: list[PoolPlan]) -> M
 def _reroll_set(rng: random.Random, cfg: RunConfig, plan: list[PoolPlan],
                 state: MicroArchState, j: int) -> MicroArchState:
     """state with cache set j replaced by a fresh random set."""
-    return replace(state, sets=state.sets[:j] + _random_sets(rng, cfg, plan[j:j + 1]) + state.sets[j + 1:])
+    return state._replace(sets=state.sets[:j] + _random_sets(rng, cfg, plan[j:j + 1]) + state.sets[j + 1:])
 
 
 # --- cost locality ---------------------------------------------------------------
@@ -196,7 +196,7 @@ def check_oncore_flush_dependence(cfg: RunConfig, trials: int, seed: object) -> 
     rng = random.Random(f"{seed}:oncore-dependence")
     for t in range(trials):
         s1 = _random_state(rng, cfg, plan)
-        s2 = replace(_random_state(rng, cfg, plan), flushable=s1.flushable)
+        s2 = _random_state(rng, cfg, plan)._replace(flushable=s1.flushable)
         bad, r1 = _paired_apply(cfg, s1, s2, OnCoreFlush(), f"{seed}:on:{t}",
                                 flushable=True)
         if bad is None and r1.flushable != flushable_reset(cfg.cost_model.flushable_words):
@@ -404,19 +404,23 @@ def audit_records(cfg: RunConfig, records: Iterable[StepRecord]) -> list[str]:
     return problems
 
 
+def _random_runs(cfg: RunConfig, trials: int, key: str,
+                 gen: Callable[[RunConfig, int, random.Random], Input]) -> Iterator[RunResult]:
+    """trials whole runs of random schedules from gen, two rotations each.
+    Every run collects its failures, so a model failure is a result to
+    report and only a defect of the code raises."""
+    nslices = 2 * len(cfg.policy.domains)
+    for t in range(trials):
+        rng = random.Random(f"{key}:{t}")
+        schedule = _random_schedule(cfg, nslices, rng, gen, 3)
+        runner = SystemRunner(cfg, f"{key}:{t}", RunOptions(collect=True))
+        yield runner.run(slices=nslices, schedule=schedule)
+
+
 def check_run_invariants(cfg: RunConfig, trials: int, seed: object) -> CheckResult:
     """Benign random runs finish with zero failures and a clean audit."""
     res = CheckResult("run-invariants", trials)
-    nslices = 2 * len(cfg.policy.domains)
-    for t in range(trials):
-        rng = random.Random(f"{seed}:run:{t}")
-        schedule = _random_schedule(cfg, nslices, rng, _random_benign_input, 3)
-        runner = SystemRunner(cfg, f"{seed}:run:{t}", RunOptions())
-        try:
-            result = runner.run(slices=nslices, schedule=schedule)
-        except Exception as e:
-            res.fail(t, f"run raised {e!r}")
-            continue
+    for t, result in enumerate(_random_runs(cfg, trials, f"{seed}:run", _random_benign_input)):
         if result.failures:
             res.fail(t, f"failures on a benign run: {result.failures[:2]}")
             continue
@@ -429,12 +433,7 @@ def check_ta_adherence(cfg: RunConfig, trials: int, seed: object) -> CheckResult
     """Hostile fuzzing: every recorded trace still adheres to the touched set,
     and untracked accesses surface as TA violations rather than traces."""
     res = CheckResult("ta-adherence", trials)
-    nslices = 2 * len(cfg.policy.domains)
-    for t in range(trials):
-        rng = random.Random(f"{seed}:fuzz:{t}")
-        schedule = _random_schedule(cfg, nslices, rng, _random_fuzz_input, 3)
-        runner = SystemRunner(cfg, f"{seed}:fuzz:{t}", RunOptions(collect=True))
-        result = runner.run(slices=nslices, schedule=schedule)
+    for t, result in enumerate(_random_runs(cfg, trials, f"{seed}:fuzz", _random_fuzz_input)):
         for p in audit_records(cfg, result.records)[:2]:
             res.fail(t, p)
         for rec in result.records:

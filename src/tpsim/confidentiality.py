@@ -264,10 +264,7 @@ def _bad_colouring(cfg: RunConfig, observer: int) -> RunConfig:
     )
     if not victims:
         raise ConfigError(f"bad-colouring: domain {high} owns no objects to remap")
-    victim = victims[0]
-    first = g.page_of(victim.base)
-    last = g.page_of(victim.base + victim.size - 1)
-    vpages = list(range(first, last + 1, g.page_size))
+    vpages = sorted(victims[0].pages(g.page_size))
 
     used = set(cfg.universe_pages) | set(cfg.amap.pages.values())
     candidate = (max(used) + g.page_size) if used else 0

@@ -22,7 +22,7 @@ from .core import (
     physical_universe,
     validate_policy,
 )
-from .microarch import CostModel
+from .microarch import CostModel, OffCoreFlush, OnCoreFlush, PadTo, Read
 
 SPEC_VERSION = 1
 
@@ -37,6 +37,12 @@ RAW_ACCESS = "raw_access"
 
 KERNEL_CALLS = (SYS_READ, SYS_WRITE, SYS_ALLOC)
 INPUT_KINDS = (USER_READ, USER_WRITE, SYS_READ, SYS_WRITE, SYS_ALLOC, NOOP, RAW_ACCESS)
+
+# The switch mechanism as an ordered template of operation classes.  Read
+# stands for a walk of the kernel globals; each other class is one operation
+# (the off-core flush targets the globals, the pad targets the deadline).
+HONEST_MECHANISM = (OffCoreFlush, OnCoreFlush, PadTo)
+PREFETCH_MECHANISM = (Read, OnCoreFlush, PadTo)
 
 
 @dataclass(frozen=True)
@@ -54,11 +60,19 @@ class Input:
 
 @dataclass
 class ObjectSpec:
+    """A kernel object.  The scenario declares each one, and every run works
+    on its own copies, whose allocation and payload it changes."""
+
     ident: str
     owner: int
     base: int          # virtual byte address
     size: int          # bytes
     allocated: bool = True
+    payload: dict[int, int] = field(default_factory=dict)   # sparse offset -> byte
+
+    def pages(self, page_size: int) -> frozenset[int]:
+        """The virtual pages the object spans."""
+        return frozenset(range(self.base - self.base % page_size, self.base + self.size, page_size))
 
 
 @dataclass
@@ -324,21 +338,40 @@ def _check_objects(cfg: RunConfig) -> None:
         if o.size < 1:
             raise ConfigError(f"{where}.size: must be >= 1")
         region = cfg.policy.domain(o.owner).user_region
-        page = cfg.geometry.page_of(o.base)
-        last_page = cfg.geometry.page_of(o.base + o.size - 1)
-        p = page
-        while p <= last_page:
+        for p in sorted(o.pages(cfg.geometry.page_size)):
             if p not in region:
                 raise ConfigError(
                     f"{where}: page {p:#x} lies outside domain {o.owner}'s user region"
                 )
-            p += cfg.geometry.page_size
 
 
 def worst_input_cost(cfg: RunConfig, kind: str, kernel_ops: int) -> int:
     """Most cycles an input of kind can take: each op a miss that evicts, at top jitter."""
     user_ops = {NOOP: 0, RAW_ACCESS: cfg.geometry.lines_per_page}.get(kind, cfg.analysis.trace_budget)
     return (kernel_ops + user_ops) * (cfg.cost_model.miss_evict_cost + cfg.cost_model.jitter)
+
+
+def worst_switch_cost(cfg: RunConfig, mechanism: tuple[type, ...]) -> int:
+    """Most cycles a switch's work can take before its pad: the globals walk,
+    the dirty phase's two image walks when it is on, then the template.  Each
+    access is a miss that evicts, each flush at its worst, at top jitter."""
+    g, cm, policy = cfg.geometry, cfg.cost_model, cfg.policy
+    per_op = cm.miss_evict_cost + cm.jitter
+    walk = len(policy.kernel_globals) * per_op
+    writebacks = len(policy.global_set_indices(g)) * g.num_ways    # the global sets, full
+    template = {
+        Read: walk,
+        OffCoreFlush: cm.offcore_flush_base + writebacks * cm.writeback_cost + cm.jitter,
+        OnCoreFlush: cm.oncore_flush_wcet,
+        PadTo: 0,
+    }
+    cost = walk + sum(template[cls] for cls in mechanism)
+    if policy.use_dirty_phase:
+        # The outgoing domain's image and its round-robin successor's.
+        images = [len(d.kernel_image) for d in policy.domains]
+        pair = max(a + b for a, b in zip(images, images[1:] + images[:1]))
+        cost += pair * g.lines_per_page * per_op
+    return cost
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -351,3 +384,9 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.policy.slice_length < worst:
         raise ConfigError(f"policy.slice_length: {cfg.policy.slice_length} is below {worst}, "
                           f"the worst-case cost of a single input, so that input could never run")
+    # Attack variants run the prefetch template on the same config.
+    worst = max(worst_switch_cost(cfg, m) for m in (HONEST_MECHANISM, PREFETCH_MECHANISM))
+    if cfg.policy.switch_deadline < worst:
+        raise ConfigError(f"policy.switch_deadline: {cfg.policy.switch_deadline} is below "
+                          f"{worst}, the worst-case cost of a switch's work, so the pad "
+                          f"could miss the deadline")

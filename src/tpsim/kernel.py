@@ -27,13 +27,16 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-# Input and its kinds are defined in config; callers may also take them from here.
+# Input, its kinds, the objects and the switch templates are defined in
+# config; callers may also take them from here.
 from .config import (
+    HONEST_MECHANISM,
     KERNEL_CALLS,
     NOOP,
+    PREFETCH_MECHANISM,
     RAW_ACCESS,
     SYS_ALLOC,
     SYS_READ,
@@ -41,6 +44,7 @@ from .config import (
     USER_READ,
     USER_WRITE,
     Input,
+    ObjectSpec,
     RunConfig,
     worst_input_cost,
 )
@@ -91,28 +95,13 @@ class Failure:
 
 
 @dataclass
-class KernelObject:
-    ident: str
-    owner: int
-    base: int
-    size: int
-    allocated: bool = True
-    payload: dict[int, int] = field(default_factory=dict)   # sparse offset -> byte
-
-    def pages(self, page_size: int) -> frozenset[int]:
-        first = self.base - (self.base % page_size)
-        last = (self.base + self.size - 1) - ((self.base + self.size - 1) % page_size)
-        return frozenset(range(first, last + 1, page_size))
-
-
-@dataclass
 class AbstractState:
-    objects: dict[str, KernelObject]
+    """What a run changes of the kernel; the config holds everything else."""
+
+    objects: dict[str, ObjectSpec]   # the run's own copies
     current: int
     slot_remaining: int
     ta: set[int]                 # virtual pages retrieved since the last switch
-    amap: AddressMap
-    policy: DomainPolicy
 
 
 @dataclass
@@ -142,16 +131,16 @@ class StepRecord:
         return self.clock_after - self.clock_before
 
 
-def get_object(state: AbstractState, ident: str) -> KernelObject:
+def get_object(state: AbstractState, ident: str, page_size: int) -> ObjectSpec:
     """Retrieve an object, recording all of its pages into the touched set."""
     obj = state.objects[ident]
-    state.ta.update(obj.pages(state.amap.page_size))
+    state.ta.update(obj.pages(page_size))
     return obj
 
 
-def access_mem(state: AbstractState, v: int) -> Failure | None:
+def access_mem(state: AbstractState, v: int, page_size: int) -> Failure | None:
     """Access one virtual address; fails unless its page was retrieved."""
-    vpage = v - (v % state.amap.page_size)
+    vpage = v - (v % page_size)
     if vpage not in state.ta:
         return Failure(
             kind="ta-violation",
@@ -188,15 +177,9 @@ def partition_subset_invariant(
 
 # --- run options ---------------------------------------------------------------
 
-# The switch mechanism as an ordered template of operation classes.  Read
-# stands for a walk of the kernel globals; each other class is one operation
-# (the off-core flush targets the globals, the pad targets the deadline).
-HONEST_MECHANISM = (OffCoreFlush, OnCoreFlush, PadTo)
-PREFETCH_MECHANISM = (Read, OnCoreFlush, PadTo)
-
-# How each class of the template expands at a switch.
+# How each class of the switch template expands at a switch.
 _TEMPLATE_OPS = {
-    Read: lambda runner, deadline: runner.globals_walk(),
+    Read: lambda runner, deadline: runner.globals_walk,
     OffCoreFlush: lambda runner, deadline: (OffCoreFlush(runner.policy.kernel_globals),),
     OnCoreFlush: lambda runner, deadline: (OnCoreFlush(),),
     PadTo: lambda runner, deadline: (PadTo(deadline),),
@@ -247,6 +230,13 @@ def _kernel_walks(policy: DomainPolicy, g: CacheGeometry) -> tuple[Trace, dict[i
     return tuple(Read(kvb + a, a) for a in sorted(policy.kernel_globals)), images
 
 
+def _own_copies(objects: Iterable[ObjectSpec]) -> dict[str, ObjectSpec]:
+    """Copies of objects, keyed by id, that a run may change.  Built field by
+    field: dataclasses.replace would double the cost of starting a run."""
+    return {o.ident: ObjectSpec(o.ident, o.owner, o.base, o.size, o.allocated, dict(o.payload))
+            for o in objects}
+
+
 class SystemRunner:
     """Drives one system run: alternating timeslices and domain switches."""
 
@@ -258,20 +248,13 @@ class SystemRunner:
         self.cm = cfg.cost_model
         self.policy = cfg.policy
         self.amap = cfg.amap
-        self._globals_walk, self._image_walks = _kernel_walks(self.policy, self.g)
-
-        objects = {
-            o.ident: KernelObject(o.ident, o.owner, o.base, o.size, o.allocated)
-            for o in cfg.scenario.objects
-        }
-        first = self.policy.domains[0].ident
+        # The fixed kernel walks, shared by every runner of the policy.
+        self.globals_walk, self.image_walks = _kernel_walks(self.policy, self.g)
         self.abstract = AbstractState(
-            objects=objects,
-            current=first,
+            objects=_own_copies(cfg.scenario.objects),
+            current=self.policy.domains[0].ident,
             slot_remaining=self.policy.slice_length,
             ta=set(),
-            amap=self.amap,
-            policy=self.policy,
         )
         self.micro = self._initial_micro()
         self.slice_index = 0
@@ -296,25 +279,17 @@ class SystemRunner:
                 if e is None or e[0] == tag:
                     ways[i] = (tag, max(1, min(level, self.cm.max_level)))
                     break
-            sets[idx] = replace(sets[idx], ways=tuple(ways))
-        return MicroArchState(state.flushable, tuple(sets), state.clock)
+            sets[idx] = sets[idx]._replace(ways=tuple(ways))
+        return state._replace(sets=tuple(sets))
 
     def _oracle(self, domain: int, phase: str) -> NondetOracle:
         if self.options.oracle_factory is not None:
             return self.options.oracle_factory(self.slice_index, domain, phase)
         return NondetOracle(key=f"{self.seed}:oracle:{self.slice_index}:{domain}:{phase}")
 
-    # -- fixed kernel walks --
-
-    def globals_walk(self) -> Trace:
-        return self._globals_walk
-
-    def image_walk(self, domain: int) -> Trace:
-        return self._image_walks[domain]
-
     def _kernel_walk(self, input: Input, domain: int) -> Trace:
         if input.kind in KERNEL_CALLS:
-            return self.globals_walk() + self.image_walk(domain)
+            return self.globals_walk + self.image_walks[domain]
         return ()
 
     # -- failure plumbing --
@@ -348,7 +323,7 @@ class SystemRunner:
 
     # -- abstract semantics --
 
-    def _resolve_alloc(self, domain: int) -> KernelObject | None:
+    def _resolve_alloc(self, domain: int) -> ObjectSpec | None:
         pool = [
             o for o in self.abstract.objects.values()
             if o.owner == domain and not o.allocated
@@ -356,11 +331,11 @@ class SystemRunner:
         pool.sort(key=lambda o: o.ident)
         return pool[0] if pool else None
 
-    def _run_abstract(self, input: Input, domain: int) -> tuple[list[Failure], bool, set[int]]:
+    def _run_abstract(self, input: Input, domain: int) -> tuple[list[Failure], set[int]]:
         """Execute the abstract semantics of one input.
 
-        Returns (failures, kernel_entry, footprint pages).  The touched set
-        grows as a side effect.
+        Returns (failures, footprint pages).  The touched set grows as a side
+        effect.
         """
         failures: list[Failure] = []
         footprint: set[int] = set()
@@ -368,47 +343,47 @@ class SystemRunner:
         psz = self.amap.page_size
 
         if input.kind == NOOP:
-            return failures, False, footprint
+            return failures, footprint
 
         if input.kind == RAW_ACCESS:
             v = input.vaddr if input.vaddr is not None else 0
-            f = access_mem(st, v)
+            f = access_mem(st, v, psz)
             if f:
                 failures.append(f)
             else:
                 footprint.add(v - (v % psz))
-            return failures, False, footprint
+            return failures, footprint
 
         if input.kind == SYS_ALLOC:
             obj = self._resolve_alloc(domain)
             if obj is None:
-                return failures, True, footprint   # pool exhausted; still a kernel entry
-            get_object(st, obj.ident)
+                return failures, footprint   # pool exhausted
+            get_object(st, obj.ident, psz)
             footprint |= obj.pages(psz)
             obj.allocated = True
             obj.payload.clear()
-            f = access_mem(st, obj.base)
+            f = access_mem(st, obj.base, psz)
             if f:
                 failures.append(f)
-            return failures, True, footprint
+            return failures, footprint
 
         obj = st.objects.get(input.obj or "")
         if obj is None:
             failures.append(Failure("bad-input", f"unknown object {input.obj!r}"))
-            return failures, input.kind in KERNEL_CALLS, footprint
+            return failures, footprint
 
-        get_object(st, obj.ident)
+        get_object(st, obj.ident, psz)
         footprint |= obj.pages(psz)
         offset = input.offset % max(obj.size, 1)
         write = input.kind in (USER_WRITE, SYS_WRITE)
-        f = access_mem(st, obj.base + offset)
+        f = access_mem(st, obj.base + offset, psz)
         if f:
             failures.append(f)
         elif write:
             obj.payload[offset] = input.byte & 0xFF
             if self.options.ta_leak:
                 self._leak_byte(domain, input.byte & 0xFF)
-        return failures, input.kind in KERNEL_CALLS, footprint
+        return failures, footprint
 
     def _leak_byte(self, domain: int, byte: int) -> None:
         # Deliberate confidentiality bug: copy a byte written by one domain
@@ -433,8 +408,8 @@ class SystemRunner:
         mu_before = self.micro
         slot_before = st.slot_remaining
 
-        failures, kernel_entry, footprint = self._run_abstract(input, domain)
-        kind = "kernel-call" if kernel_entry else "user"
+        failures, footprint = self._run_abstract(input, domain)
+        kind = "kernel-call" if input.kind in KERNEL_CALLS else "user"
 
         ok, witnesses = partition_subset_invariant(
             st.ta, domain, self.policy, self.amap, self.g
@@ -511,14 +486,14 @@ class SystemRunner:
         # Phase 1, old_clean: deterministic scheduler bookkeeping over the
         # kernel globals, same discipline as any step but outside the
         # touched set (static exception).
-        kernel_trace: Trace = self.globals_walk()
+        kernel_trace: Trace = self.globals_walk
 
         # Phase 2, dirty: optional, off by default.  Touches both images in a
         # fixed order, so it reveals nothing either domain does not know.
         if self.policy.use_dirty_phase:
             new = self._next_domain(old)
             kernel_trace = kernel_trace + tuple(sorted(
-                self.image_walk(old) + self.image_walk(new), key=lambda op: op.p,
+                self.image_walks[old] + self.image_walks[new], key=lambda op: op.p,
             ))
 
         kernel_trace = self._apply(kernel_trace, self._oracle(old, "old_clean"), failures)
@@ -614,10 +589,8 @@ class SystemRunner:
         """
         twin = copy.copy(self)
         st = self.abstract
-        twin.abstract = replace(
-            st, ta=set(st.ta),
-            objects={k: replace(o, payload=dict(o.payload)) for k, o in st.objects.items()},
-        )
+        twin.abstract = AbstractState(_own_copies(st.objects.values()), st.current,
+                                      st.slot_remaining, set(st.ta))
         twin._deferred = {d: list(q) for d, q in self._deferred.items()}
         twin.failures = list(self.failures)
         return twin
@@ -661,7 +634,7 @@ class SystemRunner:
                     detail=f"slice work ran to {self.micro.clock}, past the tick {tick}",
                 ))
             else:
-                self.micro = MicroArchState(self.micro.flushable, self.micro.sets, tick)
+                self.micro = self.micro._replace(clock=tick)
             self.abstract.slot_remaining = 0
 
             yield self.domain_switch(tick)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .core import (
     AddressMap,
@@ -67,6 +67,8 @@ class TraceError(ModelError):
 
 
 # --- trace operations -------------------------------------------------------
+# Frozen dataclasses, unlike the state records below: they compare by class
+# as well as by fields, so Read(v, p) never equals Write(v, p).
 
 @dataclass(frozen=True)
 class Read:
@@ -104,15 +106,12 @@ Trace = tuple[TraceOp, ...]
 Entry = tuple[int, int]  # (line-aligned physical tag, cachedness level >= 1)
 
 
-@dataclass(frozen=True, repr=False)
-class CacheSet:
+# The state records are named tuples: immutable, cheap to build, and their
+# repr is the text that digests hash.  Derive a changed copy with _replace.
+
+class CacheSet(NamedTuple):
     ways: tuple[Optional[Entry], ...]
     meta: int = META_RESET
-
-    def __repr__(self) -> str:
-        # Exactly the dataclass text, which digests hash, without the
-        # generated repr's recursion guard: that guard is half its cost.
-        return f"CacheSet(ways={self.ways!r}, meta={self.meta!r})"
 
     def resident(self) -> tuple[Entry, ...]:
         return tuple(e for e in self.ways if e is not None)
@@ -127,8 +126,7 @@ class CacheSet:
         return all(e is None for e in self.ways)
 
 
-@dataclass(frozen=True)
-class MicroArchState:
+class MicroArchState(NamedTuple):
     flushable: tuple[int, ...]
     sets: tuple[CacheSet, ...]
     clock: int = 0
@@ -395,11 +393,8 @@ def apply_op(state: MicroArchState, op: TraceOp, oracle: NondetOracle,
         return _access(state, op.v, op.p, oracle, g, cm, policy)
     if isinstance(op, OnCoreFlush):
         cost = oncore_flush_cost(state, cm) + _jitter(oracle, cm)
-        return MicroArchState(
-            flushable=flushable_reset(len(state.flushable)),
-            sets=state.sets,
-            clock=state.clock + cost,
-        )
+        return state._replace(flushable=flushable_reset(len(state.flushable)),
+                              clock=state.clock + cost)
     if isinstance(op, OffCoreFlush):
         cost = offcore_flush_cost(state, op.targets, g, cm) + _jitter(oracle, cm)
         indices = {set_index_of(t, g) for t in op.targets}
@@ -407,19 +402,11 @@ def apply_op(state: MicroArchState, op: TraceOp, oracle: NondetOracle,
         new_sets = tuple(
             empty if i in indices else s for i, s in enumerate(state.sets)
         )
-        return MicroArchState(
-            flushable=state.flushable,
-            sets=new_sets,
-            clock=state.clock + cost,
-        )
+        return state._replace(sets=new_sets, clock=state.clock + cost)
     if isinstance(op, PadTo):
         if op.t < state.clock:
             raise PadViolation(state.clock, op.t)
-        return MicroArchState(
-            flushable=state.flushable,
-            sets=state.sets,
-            clock=op.t,
-        )
+        return state._replace(clock=op.t)
     raise TypeError(f"unknown trace operation {op!r}")
 
 
@@ -586,8 +573,7 @@ def adheres(trace: Trace, ta: Iterable[int], amap: AddressMap,
 
 # --- visible projections -------------------------------------------------------
 
-@dataclass(frozen=True)
-class VisibleProjection:
+class VisibleProjection(NamedTuple):
     """What one domain can observe of the microarchitectural state.
 
     While executing, a domain sees all flushable state, the cache sets of its

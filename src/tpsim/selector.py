@@ -216,4 +216,4 @@ def perturb_invisible(
     for idx, (tags, widths) in plan:
         ways = draw_ways(rng, tags, widths, g.num_ways, max_level) if tags else (None,) * g.num_ways
         new_sets[idx] = CacheSet(ways, rng.getrandbits(64))
-    return MicroArchState(state.flushable, tuple(new_sets), state.clock)
+    return state._replace(sets=tuple(new_sets))

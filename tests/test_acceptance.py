@@ -3,7 +3,8 @@
 Run order matters only for readability: the gates are independent.  Each test
 prints a single "criterion N PASS/FAIL" line even under plain pytest -v, then
 asserts.  The heavy gates (1 and 8) drive full 10,000-sample channel
-measurements and dominate the suite's runtime.
+measurements and dominate the suite's runtime; they carry the slow marker,
+so pytest -m "not slow" skips them for a fast edit loop.
 """
 
 import contextlib
@@ -12,6 +13,8 @@ import io
 import math
 import random
 import time
+
+import pytest
 
 from tpsim.channel import ChannelMatrix, mutual_information
 from tpsim.checks import (
@@ -63,6 +66,7 @@ def _attack_kv(cfg_path: str, protection: str, seed: int) -> tuple[dict, float]:
     return kv, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_1_capacity_separation(capsys, config_dir):
     cfg_path = str(config_dir / "reference.yaml")
     worst_off_margin = math.inf
@@ -251,6 +255,7 @@ def test_criterion_7_switch_postconditions(capsys, ref_cfg):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_prefetch_versus_flush(capsys, adv_cfg):
     worst_gap = math.inf
     ok = True

@@ -18,7 +18,7 @@ from tpsim.checks import (
     run_suite,
 )
 from tpsim.core import ConfigError, set_index_of, universe_lines
-from tpsim.kernel import PREFETCH_MECHANISM, RunOptions, run_system
+from tpsim.kernel import PREFETCH_MECHANISM, Failure, RunOptions, SystemRunner, run_system
 from tpsim.microarch import (
     CacheSet,
     MicroArchState,
@@ -114,7 +114,7 @@ def _reference_state(rng, cfg, pools):
 def _reference_reroll(rng, cfg, pools, state, j):
     adversarial = cfg.policy.replacement == "adversarial"
     fresh = _reference_set(rng, cfg.geometry, cfg.cost_model, pools[j], adversarial)
-    return dataclasses.replace(state, sets=state.sets[:j] + (fresh,) + state.sets[j + 1:])
+    return state._replace(sets=state.sets[:j] + (fresh,) + state.sets[j + 1:])
 
 
 def _four_way_config(cfg):
@@ -191,6 +191,31 @@ def test_fuzz_and_benign_runners_directly(ref_cfg):
     assert fuzz.ok, fuzz.format()
 
 
+def test_run_invariants_reports_a_failure_by_kind_and_lets_a_defect_raise(ref_cfg, monkeypatch):
+    """A model failure on a benign run is a failed case that names its kind;
+    an exception from the code is a defect, and propagates."""
+    real = SystemRunner.domain_switch
+
+    def planted(self, tick):
+        rec = real(self, tick)
+        rec.failures += (Failure("planted", f"switch in slice {rec.slice_index}"),)
+        return rec
+
+    monkeypatch.setattr(SystemRunner, "domain_switch", planted)
+    res = check_run_invariants(ref_cfg, trials=2, seed="plant")
+    assert len(res.failures) == 2
+    for t, msg in enumerate(res.failures):
+        assert msg.startswith(f"case {t}: failures on a benign run: [Failure(kind='planted', "
+                              f"detail='switch in slice 0'"), msg
+
+    def broken(self, tick):
+        raise TypeError("a defect, not a failed check")
+
+    monkeypatch.setattr(SystemRunner, "domain_switch", broken)
+    with pytest.raises(TypeError, match="a defect"):
+        check_run_invariants(ref_cfg, trials=1, seed="plant")
+
+
 def test_check_result_formatting():
     r = CheckResult("demo", 10)
     assert r.ok and r.format() == "PASS demo (10 cases)"
@@ -219,7 +244,7 @@ def test_access_cost_locality_catches_a_cost_from_an_unrelated_set(ref_cfg, monk
     def leaky(state, op, *rest):
         out = real(state, op, *rest)
         if isinstance(op, (Read, Write)):
-            out = dataclasses.replace(out, clock=out.clock + _unrelated(state))
+            out = out._replace(clock=out.clock + _unrelated(state))
         return out
 
     monkeypatch.setattr(checks, "apply_op", leaky)
@@ -250,7 +275,7 @@ def _scrubbing_set_0(monkeypatch, op_class):
         out = real(state, op, *rest)
         if isinstance(op, op_class):
             empty = CacheSet(ways=(None,) * len(out.sets[0].ways), meta=0)
-            out = dataclasses.replace(out, sets=(empty,) + out.sets[1:])
+            out = out._replace(sets=(empty,) + out.sets[1:])
         return out
 
     monkeypatch.setattr(checks, "apply_op", overreaching)

@@ -64,6 +64,17 @@ def test_unsatisfied_hypothesis_is_exit_1(capsys, tmp_path, config_dir):
     assert code == 2
 
 
+def test_a_deadline_the_dirty_phase_misses_is_exit_2(capsys, tmp_path, config_dir):
+    import yaml
+    doc = yaml.safe_load((config_dir / "reference.yaml").read_text())
+    doc["policy"]["use_dirty_phase"] = True    # two image walks more than 320 allows
+    dirty = tmp_path / "dirty.yaml"
+    dirty.write_text(yaml.safe_dump(doc))
+    code, out, err = run_cli(capsys, "check", str(dirty), "--trials", "1", "--no-timestamp")
+    assert out == "" and "policy.switch_deadline: 320 is below 1298" in err
+    assert code == 2
+
+
 def test_unknown_mutation_is_an_argparse_error(config_dir):
     with pytest.raises(SystemExit) as e:
         main(["confidentiality", str(config_dir / "reference.yaml"),

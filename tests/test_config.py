@@ -5,7 +5,14 @@ import copy
 import pytest
 import yaml
 
-from tpsim.config import load_config, parse_config, validate_config
+from tpsim.config import (
+    HONEST_MECHANISM,
+    PREFETCH_MECHANISM,
+    load_config,
+    parse_config,
+    validate_config,
+    worst_switch_cost,
+)
 from tpsim.core import ConfigError
 from tpsim.kernel import NOOP, RAW_ACCESS, Input
 
@@ -157,6 +164,30 @@ def test_validate_config_rejects_a_slice_no_kernel_call_fits(config_dir, name):
     short = parse_config(_broken(raw, lambda d: d["policy"].update(slice_length=2572)))
     with pytest.raises(ConfigError, match=r"policy\.slice_length: 2572 is below 2573"):
         validate_config(short)
+
+
+@pytest.mark.parametrize("name", ["reference.yaml", "adversarial.yaml"])
+def test_validate_config_rejects_a_deadline_the_switch_can_miss(config_dir, name):
+    """A switch walks the 3 globals, 3 * 31 = 93 cycles, then runs its
+    template: the honest one flushes set 50 off-core (20 + 2 * 4 + 1) and
+    on-core (WCET 120), 242 in all; the prefetch one walks the globals again
+    instead, 306.  The dirty phase adds two 16-line image walks, 992."""
+    raw = yaml.safe_load((config_dir / name).read_text())
+    cfg = parse_config(raw)
+    assert [worst_switch_cost(cfg, m) for m in (HONEST_MECHANISM, PREFETCH_MECHANISM)] \
+        == [242, 306]
+    validate_config(cfg)     # the shipped 320
+    validate_config(parse_config(_broken(raw, lambda d: d["policy"].update(switch_deadline=306))))
+    tight = parse_config(_broken(raw, lambda d: d["policy"].update(switch_deadline=305)))
+    with pytest.raises(ConfigError, match=r"policy\.switch_deadline: 305 is below 306"):
+        validate_config(tight)
+
+    dirty = _broken(raw, lambda d: d["policy"].update(use_dirty_phase=True))
+    assert worst_switch_cost(parse_config(dirty), HONEST_MECHANISM) == 242 + 992
+    with pytest.raises(ConfigError, match=r"policy\.switch_deadline: 320 is below 1298"):
+        validate_config(parse_config(dirty))
+    dirty["policy"]["switch_deadline"] = 1298
+    validate_config(parse_config(dirty))
 
 
 def test_load_config_io_errors(tmp_path):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from tpsim.channel import PROTECTIONS, _attack_objects, attack_variant
-from tpsim.config import _parse_batch
+from tpsim.config import _parse_batch, worst_switch_cost
 from tpsim.core import KERNEL_DOMAIN, ModelError, PolicyError, set_index_of
 from tpsim.kernel import (
     HONEST_MECHANISM,
@@ -45,7 +45,7 @@ from tpsim.selector import select_trace
 def test_worst_case_cost_formula(ref_cfg):
     r = SystemRunner(ref_cfg, seed=0)
     per_op = ref_cfg.cost_model.miss_evict_cost + ref_cfg.cost_model.jitter
-    walk = len(r.globals_walk()) + len(r.image_walk(0))
+    walk = len(r.globals_walk) + len(r.image_walks[0])
     budget = ref_cfg.analysis.trace_budget
     assert r.worst_case_cost(Input(NOOP)) == 0
     assert r.worst_case_cost(Input(USER_READ, obj="s_buf")) == budget * per_op
@@ -139,6 +139,8 @@ def test_sys_alloc_draws_from_the_pool(ref_cfg):
     assert rec.kind == "kernel-call"
     assert r.abstract.objects["s_pool"].allocated
     assert 0x10C00 in r.abstract.ta
+    # The run changed its own copy, not the config's object.
+    assert not next(o for o in ref_cfg.scenario.objects if o.ident == "s_pool").allocated
     # pool is now empty: the call still enters the kernel but does nothing
     rec2 = r.step(Input(SYS_ALLOC))
     assert rec2.kind == "kernel-call" and rec2.failures == ()
@@ -177,6 +179,20 @@ def test_switch_mechanism_shape_and_postconditions(ref_cfg):
         for idx in ref_cfg.policy.global_set_indices(ref_cfg.geometry):
             assert after.sets[idx].is_empty() and after.sets[idx].meta == 0
     assert res.final_clock == ref_cfg.scenario.slices * (L + D)
+
+
+def test_dirty_phase_runs_clean_at_the_deadline_load_derives(ref_cfg):
+    """At the shipped 320 the dirty phase misses its pad, which is why such a
+    config no longer loads; at the derived worst case every switch makes it."""
+    dirty = dataclasses.replace(ref_cfg.policy, use_dirty_phase=True)
+    cfg = dataclasses.replace(ref_cfg, policy=dirty)
+    missed = run_system(cfg, seed=8, options=RunOptions(collect=True))
+    assert {f.kind for f in missed.failures} == {"pad-violation", "switch-postcondition"}
+    for mechanism in (HONEST_MECHANISM, PREFETCH_MECHANISM):
+        deadline = worst_switch_cost(cfg, mechanism)
+        fits = dataclasses.replace(cfg, policy=dataclasses.replace(dirty, switch_deadline=deadline))
+        res = run_system(fits, seed=8, options=RunOptions(collect=True, mechanism=mechanism))
+        assert res.failures == [] and res.switches == ref_cfg.scenario.slices
 
 
 def test_undersized_deadline_is_a_pad_violation(ref_cfg):

@@ -19,6 +19,7 @@ from tpsim.microarch import (
     PadViolation,
     Read,
     TraceError,
+    VisibleProjection,
     Write,
     adheres,
     apply_op,
@@ -492,7 +493,8 @@ def test_apply_trace_fold_edge_cases():
 
 
 def test_cache_set_repr_is_the_dataclass_text():
-    """Digests hash CacheSet's repr, so its text must stay the dataclass's."""
+    """Digests hash CacheSet's repr, so the named tuple's text must stay the
+    one the frozen dataclass it replaced printed."""
     Generated = dataclasses.make_dataclass(
         "CacheSet", [("ways", tuple), ("meta", int, dataclasses.field(default=0))],
         frozen=True)
@@ -504,3 +506,24 @@ def test_cache_set_repr_is_the_dataclass_text():
         meta = rng.choice([0, rng.getrandbits(64), (1 << 64) - 1])
         assert repr(CacheSet(ways, meta)) == repr(Generated(ways, meta))
         assert repr(CacheSet(ways)) == repr(Generated(ways))
+
+
+def test_trace_ops_of_different_kinds_stay_distinct():
+    """Trace ops compare by class, so a read swapped for a write is a change;
+    named tuples would compare Read(v, p) and Write(v, p) equal as tuples."""
+    ops = [Read(0x40, 0x80), Write(0x40, 0x80), OnCoreFlush(),
+           OffCoreFlush(frozenset({0x80})), PadTo(0x80)]
+    for i, a in enumerate(ops):
+        for b in ops[i + 1:]:
+            assert a != b
+    assert len(set(ops)) == len(ops) and len(dict.fromkeys(ops)) == len(ops)
+    assert Read(0x40, 0x80) == Read(0x40, 0x80) and len({Read(1, 2), Read(1, 2)}) == 1
+
+
+def test_state_records_are_named_tuples_built_by_keyword():
+    cs = CacheSet(ways=(None, (0x40, 1)))
+    assert cs.meta == 0 and isinstance(cs, tuple)
+    s = MicroArchState(flushable=(0,) * 8, sets=(cs,) * G.num_sets)
+    assert s.clock == 0 and s._replace(clock=5) == MicroArchState((0,) * 8, s.sets, 5)
+    vp = VisibleProjection(role="suspended", flushable=None, visible_sets=(), clock=None)
+    assert vp == visible_projection(s, 0, PLRU, "suspended", G)._replace(visible_sets=())
