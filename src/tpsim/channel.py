@@ -28,13 +28,14 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .config import NOOP, SYS_READ, USER_READ, Input, RunConfig
 from .core import ConfigError, fan_out, pool_size
 from .kernel import PREFETCH_MECHANISM, RunOptions, SystemRunner
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PROTECTIONS = ("on", "off", "prefetch", "targeted-flush")
 
@@ -139,6 +140,7 @@ def mutual_information(matrix: ChannelMatrix) -> float:
 
 def _mi_int_array(counts: np.ndarray) -> float:
     """mutual_information on an int ndarray; same exact-term skipping."""
+    import numpy as np
     total = int(counts.sum())
     rows = counts.sum(axis=1, dtype=np.int64)[:, None]
     cols = counts.sum(axis=0, dtype=np.int64)[None, :]
@@ -167,6 +169,8 @@ def apparent_capacity_M0(matrix: ChannelMatrix, shuffles: int,
     """
     if shuffles < 100:
         raise ConfigError(f"shuffles: need at least 100, got {shuffles}")
+    # numpy is imported here, not with the module: only M0 needs it.
+    import numpy as np
     counts = np.array(matrix.counts, dtype=np.int64)
     nrows, nbins = counts.shape
     labels = np.repeat(np.arange(nrows), counts.sum(axis=1))
@@ -175,9 +179,8 @@ def apparent_capacity_M0(matrix: ChannelMatrix, shuffles: int,
     mis = np.empty(shuffles)
     for k in range(shuffles):
         shuffled = rng.permutation(labels)
-        c = np.zeros((nrows, nbins), dtype=np.int64)
-        np.add.at(c, (shuffled, bins), 1)
-        mis[k] = _mi_int_array(c)
+        c = np.bincount(shuffled * nbins + bins, minlength=nrows * nbins)
+        mis[k] = _mi_int_array(c.reshape(nrows, nbins))
     lo, hi = np.percentile(mis, [2.5, 97.5])
     return float(np.mean(mis)), (float(lo), float(hi))
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import errno
+import os
 import sys
 
 from .channel import (
@@ -122,7 +124,19 @@ def cmd_confidentiality(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 1 if report.violations or not report.hypothesis_ok else 0
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing path would raise, as far as can be told
+    without writing it, so that a long measurement does not end in one."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", parent)
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, "cannot write a file here", path)
+
+
 def cmd_attack(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.out_csv:
+        _check_writable(args.out_csv)
     report = measure_channel(
         cfg, args.protection, args.seed,
         samples_per_symbol=args.samples, jobs=args.jobs,

@@ -150,6 +150,10 @@ class AddressMap:
                     f"address_map: entries must be page aligned ({v:#x} -> {p:#x})"
                 )
 
+    def __hash__(self) -> int:
+        # By value, like the generated __eq__; the pages dict itself cannot be hashed.
+        return hash((self.page_size, self._digest_key))
+
     def translate(self, v: int) -> int:
         vpage = v - (v % self.page_size)
         try:
@@ -230,10 +234,22 @@ class DomainPolicy:
         return tuple(d.ident for d in self.domains)
 
     def global_pages(self, g: CacheGeometry) -> frozenset[int]:
-        return frozenset(g.page_of(a) for a in self.kernel_globals)
+        return _global_pages(self.kernel_globals, g)
 
     def global_set_indices(self, g: CacheGeometry) -> frozenset[int]:
-        return frozenset(set_index_of(a, g) for a in self.kernel_globals)
+        return _global_set_indices(self.kernel_globals, g)
+
+
+# Once per policy: keyed on the kernel globals, whose frozenset keeps its hash.
+
+@functools.lru_cache(maxsize=32)
+def _global_pages(kernel_globals: frozenset[int], g: CacheGeometry) -> frozenset[int]:
+    return frozenset(g.page_of(a) for a in kernel_globals)
+
+
+@functools.lru_cache(maxsize=32)
+def _global_set_indices(kernel_globals: frozenset[int], g: CacheGeometry) -> frozenset[int]:
+    return frozenset(set_index_of(a, g) for a in kernel_globals)
 
 
 def validate_policy(

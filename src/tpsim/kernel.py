@@ -159,10 +159,18 @@ def partition_subset_invariant(
     Kernel-global pages are the one static exception.  A page with no
     translation at all is also a violation.  Returns (ok, witness vaddrs).
     """
+    return _partition_subset_invariant(frozenset(ta), current, policy, amap, g)
+
+
+@functools.lru_cache(maxsize=256)
+def _partition_subset_invariant(
+    ta: frozenset[int], current: int, policy: DomainPolicy, amap: AddressMap,
+    g: CacheGeometry,
+) -> tuple[bool, tuple[int, ...]]:
     colours = policy.domain(current).colours
     global_pages = policy.global_pages(g)
     witnesses = []
-    for vpage in sorted(set(ta)):
+    for vpage in sorted(ta):
         try:
             ppage = amap.translate_page(vpage)
         except TranslationFault:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import random
+import struct
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -149,30 +150,51 @@ class NondetOracle:
     Under-defined hardware updates (flushable mixing, per-operation jitter)
     consume words from here and from nowhere else.  Two oracles built from the
     same key, or over the same explicit word list, produce identical streams,
-    which is what makes run pairs alignable.
+    which is what makes run pairs alignable.  A keyed oracle seeds its
+    generator at its first draw: many runs build oracles that never draw.
     """
 
     def __init__(self, key: str | None = None, words: Iterable[int] | None = None):
         if (key is None) == (words is None):
             raise ValueError("provide exactly one of key or words")
-        if words is not None:
-            self._words = list(words)
-            self._pos = 0
-            self._rng = None
-        else:
-            self._words = None
-            self._rng = random.Random(key)
+        self._key = key
+        self._rng: random.Random | None = None
+        self._words = None if words is None else list(words)
+        self._pos = 0
         self.consumed = 0
+
+    def _generator(self) -> random.Random:
+        if self._rng is None:
+            self._rng = random.Random(self._key)
+        return self._rng
 
     def next_word(self) -> int:
         self.consumed += 1
         if self._rng is not None:
             return self._rng.getrandbits(64)
+        if self._words is None:
+            return self._generator().getrandbits(64)
         if self._pos >= len(self._words):
             raise ModelError("nondeterminism oracle ran out of words")
         w = self._words[self._pos]
         self._pos += 1
         return w & _WORD_MASK
+
+    def next_words(self, n: int) -> tuple[int, ...]:
+        """The words n next_word calls would return, drawn at once.  A word
+        list gives only the words it has left; the next next_word raises.
+
+        A keyed oracle takes them from one getrandbits(64 * n), which CPython
+        fills 32 bits at a time, low first, exactly as n getrandbits(64) calls.
+        """
+        if self._words is None:
+            self.consumed += n
+            raw = self._generator().getrandbits(64 * n).to_bytes(8 * n, "little")
+            return struct.unpack(f"<{n}Q", raw)
+        out = tuple(w & _WORD_MASK for w in self._words[self._pos:self._pos + n])
+        self._pos += len(out)
+        self.consumed += len(out)
+        return out
 
 
 # --- cost model ---------------------------------------------------------------
@@ -277,6 +299,13 @@ def _plru_touch(meta: int, way: int, num_ways: int) -> int:
             node = 2 * node + 2
             lo = mid
     return meta
+
+
+@functools.lru_cache(maxsize=8)
+def _plru_masks(num_ways: int) -> tuple[tuple[int, int], ...]:
+    """(keep, set) for each way: _plru_touch(meta, way) is meta & keep | set."""
+    return tuple((_plru_touch(-1, way, num_ways), _plru_touch(0, way, num_ways))
+                 for way in range(num_ways))
 
 
 def _plru_victim(meta: int, num_ways: int) -> int:
@@ -427,14 +456,32 @@ def _lane_constants(n: int) -> tuple[int, int, int, int]:
     )
 
 
+@functools.lru_cache(maxsize=512)
+def _access_terms(v: int, p: int, line_size: int, num_sets: int, n: int) -> tuple[int, int, int]:
+    """(set index, tag, packed v and p mixing term) of an access, p >= 0.
+
+    _mix_flushable keeps (v + c) and (p + c) mod 2^64, which is the same for
+    v and p reduced mod 2^64 first; reduced, no lane carries.
+    """
+    ones, _, v_off, p_off = _lane_constants(n)
+    term = ((v & _WORD_MASK) * ones + v_off) ^ ((p & _WORD_MASK) * ones + p_off)
+    return (p // line_size) % num_sets, p - p % line_size, term
+
+
+@functools.lru_cache(maxsize=8)
+def _lanes(n: int) -> struct.Struct:
+    """n little-endian 64-bit words, each padded to its 128-bit lane."""
+    return struct.Struct("<" + "Q8x" * n)
+
+
 def _pack(words: tuple[int, ...]) -> int:
     # Mixing multiplies first and keeps 64 bits, so reducing each word mod
     # 2^64 beforehand gives the same result.
-    return sum((w & _WORD_MASK) << (_LANE * i) for i, w in enumerate(words))
+    return int.from_bytes(_lanes(len(words)).pack(*[w & _WORD_MASK for w in words]), "little")
 
 
 def _unpack(packed: int, n: int) -> tuple[int, ...]:
-    return tuple((packed >> (_LANE * i)) & _WORD_MASK for i in range(n))
+    return _lanes(n).unpack(packed.to_bytes(16 * n, "little"))
 
 
 def _freeze(base: tuple[CacheSet, ...], work: dict[int, list], words: tuple[int, ...],
@@ -462,73 +509,85 @@ def apply_trace(state: MicroArchState, trace: Trace, oracle: NondetOracle,
     """
     if not trace:
         return state
-    ones, lane_mask, v_off, p_off = _lane_constants(len(state.flushable))
+    n_words = len(state.flushable)
+    ones, lane_mask, _, _ = _lane_constants(n_words)
     words = state.flushable       # current unless packed is set
     packed: int | None = None
     base = state.sets
     work: dict[int, list] = {}    # set index -> [ways list, meta]
     clock = state.clock
 
-    line_size, num_ways = g.line_size, g.num_ways
+    line_size, num_sets, num_ways = g.line_size, g.num_sets, g.num_ways
     hit_cost, miss_cost, miss_evict_cost = cm.hit_cost, cm.miss_cost, cm.miss_evict_cost
     jitter_mod = cm.jitter + 1
     adversarial = policy.replacement == "adversarial"
+    plru = _plru_masks(num_ways)
 
+    i, end = 0, len(trace)
     try:
-        for i, op in enumerate(trace):
+        while i < end:
+            op = trace[i]
             cls = op.__class__
             if cls is not Read and cls is not Write:
                 nxt = apply_op(_freeze(base, work, words, packed, clock), op, oracle, g, cm, policy)
                 words, packed, base, work, clock = nxt.flushable, None, nxt.sets, {}, nxt.clock
+                i += 1
                 continue
 
-            v, p = op.v, op.p
-            idx = set_index_of(p, g)
-            entry = work.get(idx)
-            if entry is None:
-                cset = base[idx]
-                entry = work[idx] = [list(cset.ways), cset.meta]
-            ways = entry[0]
-            tag = p - p % line_size
-
-            # touch_cost, on the working copy
-            way, level = -1, 0
-            for k, e in enumerate(ways):
-                if e is not None and e[0] == tag:
-                    way, level = k, e[1]
-                    break
-            if level > 0:
-                cost = hit_cost[level - 1]
-            elif None in ways:
-                cost = miss_cost
-            else:
-                cost = miss_evict_cost
-            mix_word = oracle.next_word()
-            jitter = oracle.next_word() % jitter_mod    # as _jitter, also for jitter 0
-
-            # _access, on the working copy
-            if way < 0:
-                if None in ways:
-                    way = ways.index(None)
-                elif adversarial:
-                    way = _adv_victim(entry[1], num_ways)
-                else:
-                    way = _plru_victim(entry[1], num_ways)
-            ways[way] = (tag, 1)
-            if adversarial:
-                entry[1] = _adv_update(entry[1], tag)
-            else:
-                entry[1] = _plru_touch(entry[1], way, num_ways)
-
-            # _mix_flushable keeps (v + c) and (p + c) mod 2^64, which is the
-            # same for v and p reduced mod 2^64 first; reduced, no lane carries.
+            # A run of reads and writes draws its words at once.  It ends
+            # before any other operation and before a negative address, which
+            # raises, as in apply_op, before it draws a word.
+            j = i
+            while j < end and ((cls := trace[j].__class__) is Read or cls is Write) \
+                    and not trace[j].p < 0:
+                j += 1
+            if j == i:
+                set_index_of(op.p, g)    # op.p < 0, so this raises
+            drawn = iter(oracle.next_words(2 * (j - i)))
             if packed is None:
                 packed = _pack(words)
-            v &= _WORD_MASK
-            p &= _WORD_MASK
-            packed = ((packed * _MIX_MULT ^ (v * ones + v_off) ^ (p * ones + p_off))
-                      & lane_mask) ^ (mix_word * ones)
-            clock += cost + jitter
+            for mix_word, jitter_word in zip(drawn, drawn):
+                op = trace[i]
+                idx, tag, term = _access_terms(op.v, op.p, line_size, num_sets, n_words)
+                entry = work.get(idx)
+                if entry is None:
+                    cset = base[idx]
+                    entry = work[idx] = [list(cset.ways), cset.meta]
+                ways = entry[0]
+
+                # touch_cost, on the working copy
+                way, level = -1, 0
+                for k, e in enumerate(ways):
+                    if e is not None and e[0] == tag:
+                        way, level = k, e[1]
+                        break
+                if level > 0:
+                    cost = hit_cost[level - 1]
+                elif None in ways:
+                    cost = miss_cost
+                else:
+                    cost = miss_evict_cost
+
+                # _access, on the working copy
+                if way < 0:
+                    if None in ways:
+                        way = ways.index(None)
+                    elif adversarial:
+                        way = _adv_victim(entry[1], num_ways)
+                    else:
+                        way = _plru_victim(entry[1], num_ways)
+                ways[way] = (tag, 1)
+                if adversarial:
+                    entry[1] = _adv_update(entry[1], tag)
+                else:
+                    keep, set_bits = plru[way]
+                    entry[1] = entry[1] & keep | set_bits
+
+                packed = ((packed * _MIX_MULT ^ term) & lane_mask) ^ (mix_word * ones)
+                clock += cost + jitter_word % jitter_mod    # as _jitter, also for jitter 0
+                i += 1
+            if i < j:
+                oracle.next_word()    # the word list ran out: raises at operation i
     except ModelError as e:
         # No operation changes the working copy before it has drawn its words.
         raise TraceError(i, e, _freeze(base, work, words, packed, clock)) from e

@@ -17,7 +17,7 @@ import hashlib
 import random
 from typing import Iterable
 
-from .core import AddressMap, CacheGeometry, DomainPolicy, set_index_of
+from .core import AddressMap, CacheGeometry, DomainPolicy, TranslationFault, set_index_of
 from .microarch import (
     CacheSet,
     Entry,
@@ -31,16 +31,29 @@ from .microarch import (
 )
 
 
+def _digest_text(text: str) -> str:
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
 def _digest(parts: Iterable[object]) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        h.update(repr(part).encode())
-        h.update(b"\x1f")
-    return h.hexdigest()
+    """Hash of each part's repr, each followed by a 0x1f byte."""
+    return _digest_text("".join(f"{part!r}\x1f" for part in parts))
+
+
+@functools.lru_cache(maxsize=512)
+def _visible_set_text(item: tuple[int, CacheSet]) -> str:
+    # Named-tuple reprs run in Python; a round of probe runs shows a few
+    # hundred distinct sets.  The state records hold ints only, so equal
+    # keys have equal reprs.
+    return repr(item)
 
 
 def projection_digest(vp: VisibleProjection) -> str:
-    return _digest([vp.role, vp.flushable, vp.visible_sets, vp.clock])
+    """_digest([vp.role, vp.flushable, vp.visible_sets, vp.clock]), with the
+    text of visible_sets put together from cached per-set text."""
+    texts = [_visible_set_text(item) for item in vp.visible_sets]
+    sets = "(" + ", ".join(texts) + ("," if len(texts) == 1 else "") + ")"
+    return _digest_text(f"{vp.role!r}\x1f{vp.flushable!r}\x1f{sets}\x1f{vp.clock!r}\x1f")
 
 
 def full_state_digest(state: MicroArchState) -> str:
@@ -49,12 +62,30 @@ def full_state_digest(state: MicroArchState) -> str:
     return _digest([state.flushable, state.sets, state.clock])
 
 
-def _ta_lines(ta: Iterable[int], amap: AddressMap, line_size: int) -> list[int]:
+def _shuffle(grb, x: list) -> None:
+    """rng.shuffle(x), word for word, by grb = rng.getrandbits alone."""
+    for i in range(len(x) - 1, 0, -1):
+        w = (i + 1).bit_length()
+        while (j := grb(w)) > i:
+            pass
+        x[i], x[j] = x[j], x[i]
+
+
+@functools.lru_cache(maxsize=32)
+def _footprint_plan(pages: tuple[int, ...], amap: AddressMap, budget: int, line_size: int
+                    ) -> tuple[str, tuple[tuple[int, Read | None, Write | None], ...]]:
+    """What select_trace needs of a footprint besides the projection and the
+    seed: its digest, and each permitted line with its read and its write
+    (None and None for a line of an unmapped page)."""
     lines = []
-    for vpage in sorted(set(ta)):
-        for off in range(0, amap.page_size, line_size):
-            lines.append(vpage + off)
-    return lines
+    for v in (vpage + off for vpage in pages for off in range(0, amap.page_size, line_size)):
+        try:
+            p = amap.translate(v)
+        except TranslationFault:
+            lines.append((v, None, None))
+        else:
+            lines.append((v, Read(v, p), Write(v, p)))
+    return _digest([list(pages), amap.digest_key(), budget]), tuple(lines)
 
 
 def select_trace(
@@ -76,17 +107,18 @@ def select_trace(
     """
     if budget < 1:
         raise ValueError(f"trace budget must be >= 1, got {budget}")
-    ta_pages = sorted(set(ta))
+    ta_pages = tuple(sorted(set(ta)))
     if not ta_pages:
         return ()
 
+    footprint, lines = _footprint_plan(ta_pages, amap, budget, line_size)
     key = ":".join([
-        "select", str(seed), projection_digest(visible),
-        _digest([ta_pages, amap.digest_key(), budget]), extra_entropy,
+        "select", str(seed), projection_digest(visible), footprint, extra_entropy,
     ])
     rng = random.Random(key)
 
-    lines = _ta_lines(ta_pages, amap, line_size)
+    # Each choice below picks lines by position only, so choosing among the
+    # plan's entries picks the lines it would pick among bare lines.
     mode = rng.random()
     if 0.90 <= mode < 0.95:
         k = rng.randint(1, min(len(lines), budget))
@@ -95,18 +127,16 @@ def select_trace(
         # Permutation of every permitted line, possibly truncated by budget;
         # the top 5% of modes then pad it with repeats.
         chosen = list(lines)
-        rng.shuffle(chosen)
+        _shuffle(rng.getrandbits, chosen)
         chosen = chosen[:budget]
         while mode >= 0.95 and len(chosen) < budget and rng.random() < 0.7:
             chosen.append(rng.choice(lines))
 
     ops: list[TraceOp] = []
-    for v in chosen:
-        p = amap.translate(v)
-        if rng.random() < 0.25:
-            ops.append(Write(v, p))
-        else:
-            ops.append(Read(v, p))
+    for v, read, write in chosen:
+        if read is None:
+            raise TranslationFault(v)
+        ops.append(write if rng.random() < 0.25 else read)
     return tuple(ops)
 
 
@@ -176,6 +206,7 @@ def draw_ways(rng: random.Random, tags: tuple[int, ...], widths: tuple[int, ...]
         while (level := grb(w)) >= max_level:
             pass
         out[i] = (t, level + 1)
+    # _shuffle, inline: property states draw hundreds of thousands of sets.
     for i in range(ways - 1, 0, -1) if shuffle else ():
         w = (i + 1).bit_length()
         while (j := grb(w)) > i:

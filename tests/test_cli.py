@@ -1,5 +1,10 @@
 """Command line behaviour: exit codes, determinism, and output files."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from tpsim.channel import measure_channel
@@ -102,6 +107,19 @@ def test_attack_writes_csv_and_is_deterministic(capsys, tmp_path, config_dir):
     assert "M_bits=0.0" in outs[0]
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_attack_checks_the_csv_path_before_measuring(capsys, tmp_path, config_dir,
+                                                     monkeypatch, where):
+    """A CSV path that cannot be written is exit 2 before any sample runs."""
+    calls = []
+    monkeypatch.setattr("tpsim.cli.measure_channel", lambda *a, **k: calls.append(a))
+    target = tmp_path / "no-such-dir" / "m.csv" if where == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, "attack", str(config_dir / "reference.yaml"),
+                             "--out-csv", str(target), "--no-timestamp")
+    assert code == 2 and calls == [] and out == ""
+    assert err.startswith("error: ") and str(target.parent if where == "missing-dir" else target) in err
+
+
 def test_attack_rejects_zero_samples(capsys, config_dir, ref_cfg):
     # The command line refuses the count before it loads anything ...
     with pytest.raises(SystemExit) as e:
@@ -184,3 +202,23 @@ def test_timestamp_header_present_by_default(capsys, config_dir):
     )
     assert code == 0
     assert out.startswith("# generated ")
+
+
+def test_check_and_confidentiality_never_import_numpy(config_dir):
+    """numpy loads with the first M0 and not before: the commands without a
+    channel measurement start faster and smaller."""
+    cfg = str(config_dir / "reference.yaml")
+    script = (
+        "import contextlib, io, sys\n"
+        "from tpsim.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['check', {cfg!r}, '--trials', '3', '--no-timestamp']),\n"
+        f"             main(['confidentiality', {cfg!r}, '--trials', '2', '--no-timestamp'])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0] False"

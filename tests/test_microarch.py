@@ -112,6 +112,28 @@ def test_oracle_streams():
         NondetOracle(key="k", words=[1])
 
 
+def test_bulk_draws_are_the_words_of_repeated_next_word():
+    """next_words(n) returns and counts what n next_word calls would, also
+    in pieces and across a seeding; a word list gives what it has left."""
+    rng = random.Random("bulk")
+    for trial in range(60):
+        sizes = [rng.choice([0, 1, 2, 3, 7, 64, 130]) for _ in range(4)]
+        one, bulk = NondetOracle(key=f"bulk:{trial}"), NondetOracle(key=f"bulk:{trial}")
+        for n in sizes:
+            assert bulk.next_words(n) == tuple(one.next_word() for _ in range(n))
+            assert bulk.consumed == one.consumed
+        assert bulk.next_word() == one.next_word()
+        words = [rng.getrandbits(70) - (1 << 69) for _ in range(rng.randrange(12))]
+        one, bulk = NondetOracle(words=words), NondetOracle(words=words)
+        for n in sizes:
+            left = min(n, len(words) - one.consumed)
+            assert bulk.next_words(n) == tuple(one.next_word() for _ in range(left))
+            assert bulk.consumed == one.consumed
+        bulk.next_words(len(words))
+        with pytest.raises(ModelError):
+            bulk.next_word()
+
+
 def test_word_budget_per_operation():
     """Reads and writes draw two oracle words, flushes one, padding none."""
     rng = random.Random("budget")

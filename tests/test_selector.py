@@ -1,20 +1,30 @@
 """The trace chooser: adversarial in choice, constrained in what it can see."""
 
+import hashlib
 import random
 
 import pytest
 
-from tpsim.core import AddressMap, CacheGeometry, DomainPolicy, DomainSpec, set_index_of
+from tpsim.core import (
+    AddressMap, CacheGeometry, DomainPolicy, DomainSpec, TranslationFault, set_index_of,
+)
 from tpsim.microarch import (
     CacheSet,
     MicroArchState,
     Read,
+    VisibleProjection,
     Write,
     adheres,
     visible_projection,
     visible_set_indices,
 )
-from tpsim.selector import perturb_invisible, select_trace, select_trace_peeking
+from tpsim.selector import (
+    _shuffle,
+    perturb_invisible,
+    projection_digest,
+    select_trace,
+    select_trace_peeking,
+)
 
 G = CacheGeometry(line_size=64, num_sets=64, num_ways=2, page_size=1024)
 POL = DomainPolicy(
@@ -166,3 +176,97 @@ def test_perturb_draws_the_reference_stream(g, universe, max_level):
         for observer in (0, 1):
             want = _reference_perturb(s, observer, POL, g, universe, seed, max_level)
             assert perturb_invisible(s, observer, POL, g, universe, seed, max_level) == want
+
+
+# --- the cached fast paths against the text and draws they replace -----------
+
+def _reference_digest(parts):
+    h = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        h.update(repr(part).encode())
+        h.update(b"\x1f")
+    return h.hexdigest()
+
+
+def _random_cache_set(rng):
+    ways = tuple(None if rng.random() < 0.4 else
+                 (rng.getrandbits(20) & ~63, rng.randint(1, 3)) for _ in range(G.num_ways))
+    return CacheSet(ways, rng.choice([0, rng.getrandbits(64)]))
+
+
+def test_projection_digest_hashes_the_projection_repr():
+    """The same bytes as _digest over the four fields; 0 and 1 visible sets
+    are where a tuple's repr has its edge cases, "()" and "(x,)"."""
+    rng = random.Random("projection-digest")
+    pool = [_random_cache_set(rng) for _ in range(40)]
+    for trial in range(400):
+        count = trial % 4 if trial < 200 else rng.randrange(70)
+        sets = tuple((rng.randrange(G.num_sets), rng.choice(pool)) for _ in range(count))
+        if rng.random() < 0.5:
+            vp = VisibleProjection("executing", tuple(rng.getrandbits(64) for _ in range(8)),
+                                   sets, rng.randrange(1 << 40))
+        else:
+            vp = VisibleProjection("suspended", None, sets, None)
+        want = _reference_digest([vp.role, vp.flushable, vp.visible_sets, vp.clock])
+        assert projection_digest(vp) == want, vp
+
+
+def test_shuffle_replica_draws_what_random_shuffle_draws():
+    for n in list(range(0, 12)) + [31, 32, 33, 64, 100]:
+        for seed in range(20):
+            a, b = random.Random(f"shuffle:{seed}"), random.Random(f"shuffle:{seed}")
+            want, got = list(range(n)), list(range(n))
+            a.shuffle(want)
+            _shuffle(b.getrandbits, got)
+            assert got == want
+            assert a.getrandbits(64) == b.getrandbits(64)    # same words drawn
+
+
+def _reference_select(ta, visible, amap, budget, seed, line_size=64):
+    """select_trace as it read before its per-footprint plans and shuffle
+    replica; every fast path must choose exactly this trace."""
+    ta_pages = sorted(set(ta))
+    if not ta_pages:
+        return ()
+    key = ":".join([
+        "select", str(seed), _reference_digest([visible.role, visible.flushable,
+                                                visible.visible_sets, visible.clock]),
+        _reference_digest([ta_pages, amap.digest_key(), budget]), "",
+    ])
+    rng = random.Random(key)
+    lines = [vpage + off for vpage in ta_pages for off in range(0, amap.page_size, line_size)]
+    mode = rng.random()
+    if 0.90 <= mode < 0.95:
+        chosen = rng.sample(lines, rng.randint(1, min(len(lines), budget)))
+    else:
+        chosen = list(lines)
+        rng.shuffle(chosen)
+        chosen = chosen[:budget]
+        while mode >= 0.95 and len(chosen) < budget and rng.random() < 0.7:
+            chosen.append(rng.choice(lines))
+    ops = []
+    for v in chosen:
+        p = amap.translate(v)
+        ops.append(Write(v, p) if rng.random() < 0.25 else Read(v, p))
+    return tuple(ops)
+
+
+def test_select_trace_chooses_the_reference_trace():
+    rng = random.Random("select-reference")
+    pages = sorted(AMAP.pages) + [0x30000]      # the last one is unmapped
+    for trial in range(600):
+        state = MicroArchState(tuple(rng.getrandbits(64) for _ in range(8)),
+                               tuple(_random_cache_set(rng) for _ in range(G.num_sets)),
+                               rng.randrange(1 << 20))
+        vis = _vis(state, trial % 2)
+        ta = set(rng.sample(pages, rng.randint(1, 3)))
+        budget = rng.choice([1, 5, 16, 40, 64])
+        line_size = rng.choice([64, 256])
+        try:
+            want = _reference_select(ta, vis, AMAP, budget, trial, line_size)
+        except TranslationFault as e:
+            with pytest.raises(TranslationFault) as got:
+                select_trace(ta, vis, AMAP, budget, trial, line_size=line_size)
+            assert got.value.vaddr == e.vaddr
+            continue
+        assert select_trace(ta, vis, AMAP, budget, trial, line_size=line_size) == want
