@@ -197,7 +197,6 @@ class CapacityReport:
     bin_width: int
     seed: object
     replacement: str = "plru"
-    notes: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         cap = math.log2(len(self.matrix.labels)) if len(self.matrix.labels) > 1 else 0.0
@@ -222,9 +221,6 @@ class CapacityReport:
             f"M0 = {self.M0_bits:.6f} bits (ci95 {lo:.6f} .. {hi:.6f})",
             "channel " + ("OPEN: M above the M0 interval" if self.channel_open
                           else "closed: M within the M0 interval"),
-        ]
-        lines.extend(self.notes)
-        lines += [
             f"M_bits={self.M_bits!r}",
             f"M0_bits={self.M0_bits!r}",
             f"M0_ci_lo={lo!r}",

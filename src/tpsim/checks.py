@@ -23,6 +23,7 @@ from typing import Callable, Collection, Iterable, Iterator
 
 from .config import INPUT_KINDS, KERNEL_CALLS, NOOP, RAW_ACCESS, SYS_ALLOC, Input, RunConfig
 from .core import (
+    KERNEL_VBASE,
     ConfigError,
     fan_out,
     set_index_of,
@@ -372,7 +373,7 @@ def audit_records(cfg: RunConfig, records: Iterable[StepRecord]) -> list[str]:
             # The prefetch template's walk of the kernel globals is kernel
             # work, exempt from adherence like kernel_trace.
             trace = tuple(op for op in trace if not (
-                type(op) is Read and op.v == policy.kernel_vbase + op.p
+                type(op) is Read and op.v == KERNEL_VBASE + op.p
                 and op.p in policy.kernel_globals))
         ok, at = adheres(trace, rec.ta_after, cfg.amap, policy.kernel_globals)
         if not ok:

@@ -7,13 +7,14 @@ other numeric field in decimal.  Validation errors name the offending field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 import yaml
 
 from .core import (
+    KERNEL_VBASE,
     AddressMap,
     CacheGeometry,
     ConfigError,
@@ -104,6 +105,33 @@ class RunConfig:
     source: str = "<memory>"
 
 
+# The keys each kind of mapping may hold.
+_KEYS = {
+    "config": "spec_version geometry cost_model policy scenario analysis",
+    "geometry": "line_size num_sets num_ways page_size",
+    "cost_model": "hit_cost miss_cost miss_evict_cost writeback_cost oncore_flush_base "
+                  "oncore_flush_spread oncore_flush_wcet offcore_flush_base "
+                  "offcore_flush_wcet jitter flushable_words",
+    "policy": "domains kernel_globals switch_deadline slice_length replacement use_dirty_phase",
+    "scenario": "slices address_map objects inputs initial_cache",
+    "analysis": "bin_width samples_per_symbol shuffles trace_budget trials",
+    "domain": "id colours kernel_image user_region",
+    "object": "id owner base size allocated",
+    "initial_cache": "addr level",
+    "input": "kind obj offset byte vaddr",
+}
+
+
+def _mapping(section: Any, kind: str, where: str) -> None:
+    """Require section to be a mapping that holds only keys known to kind."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: must be a mapping")
+    known = _KEYS[kind].split()
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{where}.{key}: unknown field; expected one of {', '.join(known)}")
+
+
 def _req(section: dict, key: str, where: str) -> Any:
     if key not in section:
         raise ConfigError(f"{where}.{key}: missing required field")
@@ -113,6 +141,12 @@ def _req(section: dict, key: str, where: str) -> Any:
 def _as_int(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected a decimal integer, got {value!r}")
+    return value
+
+
+def _as_bool(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
     return value
 
 
@@ -150,12 +184,12 @@ def parse_config(raw: dict) -> RunConfig:
     version = _req(raw, "spec_version", "config")
     if version != SPEC_VERSION:
         raise ConfigError(f"spec_version: expected {SPEC_VERSION}, got {version!r}")
+    _mapping(raw, "config", "config")
 
     for section in ("geometry", "cost_model", "policy", "scenario", "analysis"):
         if section not in raw:
             raise ConfigError(f"{section}: missing required section")
-        if not isinstance(raw[section], dict):
-            raise ConfigError(f"{section}: must be a mapping")
+        _mapping(raw[section], section, section)
 
     gsec = raw["geometry"]
     geometry = CacheGeometry(
@@ -181,7 +215,6 @@ def parse_config(raw: dict) -> RunConfig:
         offcore_flush_wcet=_as_int(_req(csec, "offcore_flush_wcet", "cost_model"), "cost_model.offcore_flush_wcet"),
         jitter=_as_int(_req(csec, "jitter", "cost_model"), "cost_model.jitter"),
         flushable_words=_as_int(csec.get("flushable_words", 8), "cost_model.flushable_words"),
-        max_level=_as_int(csec.get("max_level", len(hit)), "cost_model.max_level"),
     )
     cost_model.validate(geometry)
 
@@ -192,8 +225,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("policy.domains: expected a non-empty list")
     for i, d in enumerate(draw):
         where = f"policy.domains[{i}]"
-        if not isinstance(d, dict):
-            raise ConfigError(f"{where}: must be a mapping")
+        _mapping(d, "domain", where)
         colours = _req(d, "colours", where)
         if not isinstance(colours, list):
             raise ConfigError(f"{where}.colours: expected a list")
@@ -209,8 +241,7 @@ def parse_config(raw: dict) -> RunConfig:
         switch_deadline=_as_int(_req(psec, "switch_deadline", "policy"), "policy.switch_deadline"),
         slice_length=_as_int(_req(psec, "slice_length", "policy"), "policy.slice_length"),
         replacement=psec.get("replacement", "plru"),
-        use_dirty_phase=bool(psec.get("use_dirty_phase", False)),
-        kernel_vbase=_as_addr(psec.get("kernel_vbase", "0xF000000"), "policy.kernel_vbase"),
+        use_dirty_phase=_as_bool(psec.get("use_dirty_phase", False), "policy.use_dirty_phase"),
     )
 
     ssec = raw["scenario"]
@@ -225,22 +256,21 @@ def parse_config(raw: dict) -> RunConfig:
     # virtual offset; add those entries so the map is total over them.
     for d in policy.domains:
         for page in d.kernel_image:
-            pages[policy.kernel_vbase + page] = page
+            pages[KERNEL_VBASE + page] = page
     for page in policy.global_pages(geometry):
-        pages[policy.kernel_vbase + page] = page
+        pages[KERNEL_VBASE + page] = page
     amap = AddressMap(page_size=geometry.page_size, pages=pages)
 
     objects = []
     for i, o in enumerate(_req(ssec, "objects", "scenario")):
         where = f"scenario.objects[{i}]"
-        if not isinstance(o, dict):
-            raise ConfigError(f"{where}: must be a mapping")
+        _mapping(o, "object", where)
         objects.append(ObjectSpec(
             ident=str(_req(o, "id", where)),
             owner=_as_int(_req(o, "owner", where), f"{where}.owner"),
             base=_as_addr(_req(o, "base", where), f"{where}.base"),
             size=_as_int(_req(o, "size", where), f"{where}.size"),
-            allocated=bool(o.get("allocated", True)),
+            allocated=_as_bool(o.get("allocated", True), f"{where}.allocated"),
         ))
 
     inputs: dict[int, list[list[Input]]] = {}
@@ -257,8 +287,7 @@ def parse_config(raw: dict) -> RunConfig:
     initial_cache = []
     for i, entry in enumerate(ssec.get("initial_cache", [])):
         where = f"scenario.initial_cache[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}: must be a mapping with addr and level")
+        _mapping(entry, "initial_cache", where)
         initial_cache.append((
             _as_addr(_req(entry, "addr", where), f"{where}.addr"),
             _as_int(entry.get("level", 1), f"{where}.level"),
@@ -270,22 +299,16 @@ def parse_config(raw: dict) -> RunConfig:
         objects=objects,
         initial_cache=initial_cache,
     )
+    if scenario.slices < 1:
+        raise ConfigError("scenario.slices: must be >= 1")
 
     asec = raw["analysis"]
-    analysis = Analysis(
-        bin_width=_as_int(asec.get("bin_width", 1), "analysis.bin_width"),
-        samples_per_symbol=_as_int(asec.get("samples_per_symbol", 10000), "analysis.samples_per_symbol"),
-        shuffles=_as_int(asec.get("shuffles", 200), "analysis.shuffles"),
-        trace_budget=_as_int(asec.get("trace_budget", 64), "analysis.trace_budget"),
-        trials=_as_int(asec.get("trials", 200), "analysis.trials"),
-    )
-    if analysis.bin_width < 1:
-        raise ConfigError("analysis.bin_width: must be >= 1")
-    if analysis.shuffles < 100:
-        raise ConfigError("analysis.shuffles: need at least 100 label shuffles")
-
-    extra = _as_addr_list(ssec.get("universe_pages", []), "scenario.universe_pages")
-    universe = physical_universe(policy, amap, geometry, extra_pages=extra)
+    analysis = Analysis(**{f.name: _as_int(asec.get(f.name, f.default), f"analysis.{f.name}")
+                           for f in fields(Analysis)})
+    for name, value in vars(analysis).items():
+        least = 100 if name == "shuffles" else 1     # M0 needs its label shuffles
+        if value < least:
+            raise ConfigError(f"analysis.{name}: must be >= {least}")
 
     cfg = RunConfig(
         geometry=geometry,
@@ -294,7 +317,7 @@ def parse_config(raw: dict) -> RunConfig:
         amap=amap,
         scenario=scenario,
         analysis=analysis,
-        universe_pages=universe,
+        universe_pages=physical_universe(policy, amap, geometry),
     )
     _check_objects(cfg)
     return cfg
@@ -306,8 +329,7 @@ def _parse_batch(batch: Any, idents: set[str], where: str) -> list[Input]:
     out = []
     for j, d in enumerate(batch):
         at = f"{where}[{j}]"
-        if not isinstance(d, dict):
-            raise ConfigError(f"{at}: must be a mapping")
+        _mapping(d, "input", at)
         kind = d.get("kind")
         if kind not in INPUT_KINDS:
             raise ConfigError(f"{at}.kind: unknown input kind {kind!r}; "

@@ -51,6 +51,10 @@ class PolicyError(ModelError):
 # switching, as opposed to on behalf of a user domain.
 KERNEL_DOMAIN = -1
 
+# Virtual base of the kernel window, which maps each kernel-owned physical
+# page (images and globals) at this fixed offset.
+KERNEL_VBASE = 0xF000000
+
 
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
@@ -209,7 +213,6 @@ class DomainPolicy:
     slice_length: int
     replacement: str = "plru"
     use_dirty_phase: bool = False
-    kernel_vbase: int = 0xF000000
 
     def __post_init__(self):
         if self.replacement not in ("plru", "adversarial"):
@@ -234,22 +237,10 @@ class DomainPolicy:
         return tuple(d.ident for d in self.domains)
 
     def global_pages(self, g: CacheGeometry) -> frozenset[int]:
-        return _global_pages(self.kernel_globals, g)
+        return frozenset(g.page_of(a) for a in self.kernel_globals)
 
     def global_set_indices(self, g: CacheGeometry) -> frozenset[int]:
-        return _global_set_indices(self.kernel_globals, g)
-
-
-# Once per policy: keyed on the kernel globals, whose frozenset keeps its hash.
-
-@functools.lru_cache(maxsize=32)
-def _global_pages(kernel_globals: frozenset[int], g: CacheGeometry) -> frozenset[int]:
-    return frozenset(g.page_of(a) for a in kernel_globals)
-
-
-@functools.lru_cache(maxsize=32)
-def _global_set_indices(kernel_globals: frozenset[int], g: CacheGeometry) -> frozenset[int]:
-    return frozenset(set_index_of(a, g) for a in kernel_globals)
+        return frozenset(set_index_of(a, g) for a in self.kernel_globals)
 
 
 def validate_policy(
@@ -315,10 +306,9 @@ def validate_policy(
     return problems
 
 
-def physical_universe(policy: DomainPolicy, amap: AddressMap, g: CacheGeometry,
-                      extra_pages: Iterable[int] = ()) -> frozenset[int]:
+def physical_universe(policy: DomainPolicy, amap: AddressMap, g: CacheGeometry) -> frozenset[int]:
     """All physical pages a run can name: user translations, images, globals."""
-    pages: set[int] = set(extra_pages)
+    pages: set[int] = set()
     for d in policy.domains:
         pages.update(d.kernel_image)
         for vpage in d.user_region:

@@ -53,6 +53,7 @@ from .core import (
     CacheGeometry,
     DomainPolicy,
     KERNEL_DOMAIN,
+    KERNEL_VBASE,
     ModelError,
     PolicyError,
     TranslationFault,
@@ -159,14 +160,6 @@ def partition_subset_invariant(
     Kernel-global pages are the one static exception.  A page with no
     translation at all is also a violation.  Returns (ok, witness vaddrs).
     """
-    return _partition_subset_invariant(frozenset(ta), current, policy, amap, g)
-
-
-@functools.lru_cache(maxsize=256)
-def _partition_subset_invariant(
-    ta: frozenset[int], current: int, policy: DomainPolicy, amap: AddressMap,
-    g: CacheGeometry,
-) -> tuple[bool, tuple[int, ...]]:
     colours = policy.domain(current).colours
     global_pages = policy.global_pages(g)
     witnesses = []
@@ -229,13 +222,12 @@ class RunResult:
 def _kernel_walks(policy: DomainPolicy, g: CacheGeometry) -> tuple[Trace, dict[int, Trace]]:
     """The globals walk, and each domain's image walk, of a policy.  Every
     runner of the policy shares the result and only reads it."""
-    kvb = policy.kernel_vbase
     images = {
-        d.ident: tuple(Read(kvb + line, line)
+        d.ident: tuple(Read(KERNEL_VBASE + line, line)
                        for page in sorted(d.kernel_image) for line in g.page_lines(page))
         for d in policy.domains
     }
-    return tuple(Read(kvb + a, a) for a in sorted(policy.kernel_globals)), images
+    return tuple(Read(KERNEL_VBASE + a, a) for a in sorted(policy.kernel_globals)), images
 
 
 def _own_copies(objects: Iterable[ObjectSpec]) -> dict[str, ObjectSpec]:

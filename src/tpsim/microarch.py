@@ -204,8 +204,9 @@ class CostModel:
     """Access and flush costs, all in cycles.
 
     hit_cost is indexed by cachedness level (entry 0 is the cost of a level-1
-    hit).  Deeper levels must cost more, misses more still.  WCET fields bound
-    the flush operations over every possible state, targets included.
+    hit), so its length is the number of levels, max_level.  Deeper levels
+    must cost more, misses more still.  WCET fields bound the flush operations
+    over every possible state, targets included.
     """
 
     hit_cost: tuple[int, ...]
@@ -219,16 +220,8 @@ class CostModel:
     offcore_flush_wcet: int
     jitter: int
     flushable_words: int
-    max_level: int
 
     def validate(self, g: CacheGeometry) -> None:
-        if self.max_level < 1:
-            raise ConfigError("cost_model.max_level: must be >= 1")
-        if len(self.hit_cost) != self.max_level:
-            raise ConfigError(
-                f"cost_model.hit_cost: need one entry per cachedness level "
-                f"(got {len(self.hit_cost)}, max_level {self.max_level})"
-            )
         costs = list(self.hit_cost) + [self.miss_cost, self.miss_evict_cost]
         if any(c <= 0 for c in costs):
             raise ConfigError("cost_model: all access costs must be positive")
@@ -237,10 +230,12 @@ class CostModel:
                 "cost_model: costs must not decrease as cachedness gets worse "
                 "(hit levels, then miss, then miss with eviction)"
             )
-        if self.jitter < 0:
-            raise ConfigError("cost_model.jitter: must be >= 0")
-        if self.flushable_words < 1:
-            raise ConfigError("cost_model.flushable_words: must be >= 1")
+        for name in ("writeback_cost", "oncore_flush_base", "offcore_flush_base", "jitter"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"cost_model.{name}: must be >= 0")
+        for name in ("oncore_flush_spread", "flushable_words"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"cost_model.{name}: must be >= 1")
         worst_on = self.oncore_flush_base + self.oncore_flush_spread - 1 + self.jitter
         if worst_on > self.oncore_flush_wcet:
             raise ConfigError(
@@ -257,6 +252,10 @@ class CostModel:
                 f"cost_model.offcore_flush_wcet: {self.offcore_flush_wcet} is below the "
                 f"worst case {worst_off}"
             )
+
+    @property
+    def max_level(self) -> int:
+        return len(self.hit_cost)
 
     @property
     def cost_min(self) -> int:
@@ -347,10 +346,7 @@ def _mix_flushable(flushable: tuple[int, ...], v: int, p: int, word: int) -> tup
 
 
 def _jitter(oracle: NondetOracle, cm: CostModel) -> int:
-    if cm.jitter == 0:
-        # Still consume a word so that op streams line up across cost models.
-        oracle.next_word()
-        return 0
+    # One word even at jitter 0, so that op streams line up across cost models.
     return oracle.next_word() % (cm.jitter + 1)
 
 

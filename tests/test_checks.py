@@ -126,7 +126,7 @@ def _four_way_config(cfg):
     return dataclasses.replace(
         cfg,
         geometry=dataclasses.replace(cfg.geometry, num_ways=4),
-        cost_model=dataclasses.replace(cfg.cost_model, hit_cost=(2, 4, 6), max_level=3),
+        cost_model=dataclasses.replace(cfg.cost_model, hit_cost=(2, 4, 6)),
         universe_pages=frozenset(pages),
     )
 

@@ -80,6 +80,35 @@ def test_a_deadline_the_dirty_phase_misses_is_exit_2(capsys, tmp_path, config_di
     assert code == 2
 
 
+def _edited(tmp_path, config_dir, section, key, value):
+    """Path of a copy of the reference config with section.key set to value."""
+    import yaml
+    doc = yaml.safe_load((config_dir / "reference.yaml").read_text())
+    doc[section][key] = value
+    path = tmp_path / f"{section}-{key}.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("scenario", "slices", 0),      # no transitions to compare: no clean verdict
+    ("scenario", "slices", -3),
+    ("analysis", "trace_budget", 0),
+    ("analysis", "samples_per_symbol", 0),
+    ("analysis", "trials", 0),
+    ("cost_model", "oncore_flush_spread", 0),
+    ("cost_model", "writeback_cost", -1),
+    ("cost_model", "oncore_flush_base", -1),
+    ("cost_model", "offcore_flush_base", -1),
+], ids=str)
+def test_counts_and_costs_out_of_range_are_exit_2(capsys, tmp_path, config_dir,
+                                                   section, key, value):
+    """Rejected at load, naming the field, not at first use (or never)."""
+    path = _edited(tmp_path, config_dir, section, key, value)
+    code, out, err = run_cli(capsys, "confidentiality", path, "--trials", "1", "--no-timestamp")
+    assert (code, out) == (2, "") and f"{section}.{key}: must be >= " in err
+
+
 def test_unknown_mutation_is_an_argparse_error(config_dir):
     with pytest.raises(SystemExit) as e:
         main(["confidentiality", str(config_dir / "reference.yaml"),

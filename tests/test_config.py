@@ -1,6 +1,7 @@
 """Config parsing: every rejection names the field that caused it."""
 
 import copy
+import re
 
 import pytest
 import yaml
@@ -13,7 +14,7 @@ from tpsim.config import (
     validate_config,
     worst_switch_cost,
 )
-from tpsim.core import ConfigError
+from tpsim.core import KERNEL_VBASE, ConfigError
 from tpsim.kernel import NOOP, RAW_ACCESS, Input
 
 
@@ -39,12 +40,11 @@ def test_reference_parses_and_spot_checks(ref_cfg):
 
 
 def test_kernel_window_is_mapped_automatically(ref_cfg):
-    kvb = ref_cfg.policy.kernel_vbase
     for d in ref_cfg.policy.domains:
         for page in d.kernel_image:
-            assert ref_cfg.amap.translate_page(kvb + page) == page
+            assert ref_cfg.amap.translate_page(KERNEL_VBASE + page) == page
     for page in ref_cfg.policy.global_pages(ref_cfg.geometry):
-        assert ref_cfg.amap.translate_page(kvb + page) == page
+        assert ref_cfg.amap.translate_page(KERNEL_VBASE + page) == page
 
 
 def test_universe_covers_the_address_map(ref_cfg):
@@ -89,6 +89,44 @@ def test_analysis_guards(raw):
         parse_config(_broken(raw, lambda d: d["analysis"].update(shuffles=10)))
     with pytest.raises(ConfigError, match="bin_width"):
         parse_config(_broken(raw, lambda d: d["analysis"].update(bin_width=0)))
+
+
+QUOTED_BOOLEANS = [
+    ("policy.use_dirty_phase", lambda d: d["policy"].update(use_dirty_phase="false")),
+    ("scenario.objects[2].allocated",
+     lambda d: d["scenario"]["objects"][2].update(allocated="no")),
+]
+
+
+@pytest.mark.parametrize("name, mutate", QUOTED_BOOLEANS, ids=[n for n, _ in QUOTED_BOOLEANS])
+def test_booleans_must_be_yaml_booleans(raw, name, mutate):
+    """bool("false") is True: a quoted boolean would mean its opposite."""
+    with pytest.raises(ConfigError, match=re.escape(name) + ": expected true or false"):
+        parse_config(_broken(raw, mutate))
+
+
+UNKNOWN_KEYS = [
+    ("policy.replacment", lambda d: d["policy"].update(replacment="adversarial")),
+    ("config.analysys", lambda d: d.update(analysys={})),
+    ("geometry.ways", lambda d: d["geometry"].update(ways=2)),
+    ("cost_model.max_level", lambda d: d["cost_model"].update(max_level=2)),
+    ("policy.kernel_vbase", lambda d: d["policy"].update(kernel_vbase="0xF000000")),
+    ("policy.domains[1].colors", lambda d: d["policy"]["domains"][1].update(colors=[2])),
+    ("scenario.universe_pages", lambda d: d["scenario"].update(universe_pages=[])),
+    ("scenario.objects[0].alocated", lambda d: d["scenario"]["objects"][0].update(alocated=1)),
+    ("scenario.initial_cache[0].lvl",
+     lambda d: d["scenario"].update(initial_cache=[{"addr": "0x1440", "lvl": 2}])),
+    ("scenario.inputs[0][1][0].ofset",
+     lambda d: d["scenario"]["inputs"][0][1][0].update(ofset=16)),
+    ("analysis.shufles", lambda d: d["analysis"].update(shufles=500)),
+]
+
+
+@pytest.mark.parametrize("name, mutate", UNKNOWN_KEYS, ids=[n for n, _ in UNKNOWN_KEYS])
+def test_unknown_keys_are_named(raw, name, mutate):
+    """A mistyped or retired key is an error, not a silent default."""
+    with pytest.raises(ConfigError, match=re.escape(name) + ": unknown field"):
+        parse_config(_broken(raw, mutate))
 
 
 def test_object_rejections(raw):
@@ -137,9 +175,12 @@ def test_scenario_inputs_are_parsed_at_load(raw):
     with pytest.raises(ConfigError, match=r"scenario\.inputs\[0\]\[0\]: expected a list"):
         parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0].__setitem__(
             0, {"kind": "noop"})))
-    with pytest.raises(ConfigError, match=r"scenario\.inputs\[0\]\[0\]\[0\]\.kind: .*None"):
+    with pytest.raises(ConfigError, match=r"scenario\.inputs\[0\]\[0\]\[0\]\.op: unknown field"):
         parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0].__setitem__(
             0, [{"op": "noop"}])))
+    with pytest.raises(ConfigError, match=r"scenario\.inputs\[0\]\[0\]\[0\]\.kind: .*None"):
+        parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0].__setitem__(
+            0, [{"obj": "s_buf"}])))
     cfg = parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0].append(
         [{"kind": "raw_access", "vaddr": "0x10020"}, {"kind": "noop"}])))
     assert cfg.scenario.inputs[0][3] == [Input(RAW_ACCESS, vaddr=0x10020), Input(NOOP)]

@@ -41,7 +41,7 @@ CM = CostModel(
     hit_cost=(2, 6), miss_cost=20, miss_evict_cost=30, writeback_cost=4,
     oncore_flush_base=40, oncore_flush_spread=32, oncore_flush_wcet=120,
     offcore_flush_base=20, offcore_flush_wcet=600, jitter=1,
-    flushable_words=8, max_level=2,
+    flushable_words=8,
 )
 PLRU = DomainPolicy(
     domains=(DomainSpec(0, frozenset({0, 1, 2, 3}), frozenset(), frozenset()),),
@@ -78,22 +78,20 @@ def test_cost_model_validation():
         CostModel(hit_cost=(6, 2), miss_cost=20, miss_evict_cost=30, writeback_cost=4,
                   oncore_flush_base=40, oncore_flush_spread=32, oncore_flush_wcet=120,
                   offcore_flush_base=20, offcore_flush_wcet=600, jitter=1,
-                  flushable_words=8, max_level=2).validate(G)
+                  flushable_words=8).validate(G)
     with pytest.raises(ConfigError):
         CostModel(hit_cost=(2, 6), miss_cost=20, miss_evict_cost=30, writeback_cost=4,
                   oncore_flush_base=40, oncore_flush_spread=32, oncore_flush_wcet=60,
                   offcore_flush_base=20, offcore_flush_wcet=600, jitter=1,
-                  flushable_words=8, max_level=2).validate(G)
+                  flushable_words=8).validate(G)
     with pytest.raises(ConfigError):
         CostModel(hit_cost=(2, 6), miss_cost=20, miss_evict_cost=30, writeback_cost=4,
                   oncore_flush_base=40, oncore_flush_spread=32, oncore_flush_wcet=120,
                   offcore_flush_base=20, offcore_flush_wcet=500, jitter=1,
-                  flushable_words=8, max_level=2).validate(G)
-    with pytest.raises(ConfigError):
-        CostModel(hit_cost=(2,), miss_cost=20, miss_evict_cost=30, writeback_cost=4,
-                  oncore_flush_base=40, oncore_flush_spread=32, oncore_flush_wcet=120,
-                  offcore_flush_base=20, offcore_flush_wcet=600, jitter=1,
-                  flushable_words=8, max_level=2).validate(G)
+                  flushable_words=8).validate(G)
+    # The number of cachedness levels is the length of hit_cost.
+    assert dataclasses.replace(CM, hit_cost=(2,)).max_level == 1
+    assert CM.max_level == len(CM.hit_cost) == 2
     CM.validate(G)  # the reference model itself is fine
 
 
