@@ -19,7 +19,7 @@ from .channel import (
     run_prime_probe,
 )
 from .checks import CheckResult, run_suite
-from .config import RunConfig, load_config, parse_config, validate_config
+from .config import Input, RunConfig, load_config, parse_config, validate_config
 from .confidentiality import (
     ConfidentialityReport,
     check_confidentiality,
@@ -35,15 +35,7 @@ from .core import (
     PolicyError,
     TranslationFault,
 )
-from .kernel import (
-    Input,
-    RunOptions,
-    RunResult,
-    StepRecord,
-    SystemRunner,
-    partition_subset_invariant,
-    run_system,
-)
+from .kernel import RunOptions, StepRecord, SystemRunner, partition_subset_invariant
 from .microarch import (
     CacheSet,
     CostModel,

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .config import NOOP, SYS_READ, USER_READ, Input, RunConfig
+from .config import NOOP, PREFETCH_MECHANISM, SYS_READ, USER_READ, Input, RunConfig
 from .core import ConfigError, fan_out, pool_size
-from .kernel import PREFETCH_MECHANISM, RunOptions, SystemRunner
+from .kernel import RunOptions, SystemRunner
 
 if TYPE_CHECKING:
     import numpy as np
@@ -298,7 +298,8 @@ def _probe_pair(cfg: RunConfig, options: RunOptions, seed: object, index: int,
     # Seeded by the sample, never by the symbol: the symbol-0 and symbol-1
     # runs of one sample draw identical oracle words and trace seeds.
     runner = SystemRunner(cfg, f"{seed}:s{index}", options)
-    runner.run(slices=1, schedule={spy: spy_batches})
+    for _ in runner.transitions(slices=1, schedule={spy: spy_batches}):
+        pass
     latencies = []
     for signal in (Input(kind=NOOP), Input(kind=SYS_READ, obj=trojan_obj)):
         twin = runner.fork()

@@ -29,7 +29,7 @@ from .core import (
     set_index_of,
     universe_lines,
 )
-from .kernel import RunOptions, RunResult, StepRecord, SystemRunner, partition_subset_invariant
+from .kernel import Failure, RunOptions, StepRecord, SystemRunner, partition_subset_invariant
 from .microarch import (
     CacheSet,
     MicroArchState,
@@ -50,18 +50,6 @@ from .microarch import (
 from .selector import (PoolPlan, draw_ways, perturb_invisible, pool_plans, select_trace,
                        select_trace_peeking)
 
-PROPERTY_CHECKS = (
-    "access-cost-locality",
-    "offcore-flush-locality",
-    "oncore-flush-dependence",
-    "wcet-bounds",
-    "replacement-sanity",
-    "selector-dependency",
-)
-INVARIANT_CHECKS = (
-    "run-invariants",
-    "ta-adherence",
-)
 SUITES = ("properties", "invariants", "all")
 
 
@@ -406,26 +394,29 @@ def audit_records(cfg: RunConfig, records: Iterable[StepRecord]) -> list[str]:
 
 
 def _random_runs(cfg: RunConfig, trials: int, key: str,
-                 gen: Callable[[RunConfig, int, random.Random], Input]) -> Iterator[RunResult]:
-    """trials whole runs of random schedules from gen, two rotations each.
-    Every run collects its failures, so a model failure is a result to
-    report and only a defect of the code raises."""
+                 gen: Callable[[RunConfig, int, random.Random], Input]
+                 ) -> Iterator[tuple[list[StepRecord], list[Failure]]]:
+    """trials whole runs of random schedules from gen, two rotations each,
+    as (records, failures).  Every run collects its failures, so a model
+    failure is a result to report and only a defect of the code raises."""
     nslices = 2 * len(cfg.policy.domains)
     for t in range(trials):
         rng = random.Random(f"{key}:{t}")
         schedule = _random_schedule(cfg, nslices, rng, gen, 3)
         runner = SystemRunner(cfg, f"{key}:{t}", RunOptions(collect=True))
-        yield runner.run(slices=nslices, schedule=schedule)
+        records = list(runner.transitions(slices=nslices, schedule=schedule))
+        yield records, runner.failures
 
 
 def check_run_invariants(cfg: RunConfig, trials: int, seed: object) -> CheckResult:
     """Benign random runs finish with zero failures and a clean audit."""
     res = CheckResult("run-invariants", trials)
-    for t, result in enumerate(_random_runs(cfg, trials, f"{seed}:run", _random_benign_input)):
-        if result.failures:
-            res.fail(t, f"failures on a benign run: {result.failures[:2]}")
+    for t, (records, failures) in enumerate(
+            _random_runs(cfg, trials, f"{seed}:run", _random_benign_input)):
+        if failures:
+            res.fail(t, f"failures on a benign run: {failures[:2]}")
             continue
-        for p in audit_records(cfg, result.records)[:2]:
+        for p in audit_records(cfg, records)[:2]:
             res.fail(t, p)
     return res
 
@@ -434,10 +425,11 @@ def check_ta_adherence(cfg: RunConfig, trials: int, seed: object) -> CheckResult
     """Hostile fuzzing: every recorded trace still adheres to the touched set,
     and untracked accesses surface as TA violations rather than traces."""
     res = CheckResult("ta-adherence", trials)
-    for t, result in enumerate(_random_runs(cfg, trials, f"{seed}:fuzz", _random_fuzz_input)):
-        for p in audit_records(cfg, result.records)[:2]:
+    for t, (records, _) in enumerate(
+            _random_runs(cfg, trials, f"{seed}:fuzz", _random_fuzz_input)):
+        for p in audit_records(cfg, records)[:2]:
             res.fail(t, p)
-        for rec in result.records:
+        for rec in records:
             if rec.kind == "switch" or rec.input is None:
                 continue
             if rec.input.kind == RAW_ACCESS:
@@ -464,6 +456,8 @@ _INVARIANT_FNS: dict[str, Callable[[RunConfig, int, object], CheckResult]] = {
     "run-invariants": check_run_invariants,
     "ta-adherence": check_ta_adherence,
 }
+PROPERTY_CHECKS = tuple(_PROPERTY_FNS)
+INVARIANT_CHECKS = tuple(_INVARIANT_FNS)
 
 
 def _run_check(cfg: RunConfig, seed: object,
@@ -482,8 +476,8 @@ def run_suite(cfg: RunConfig, suite: str, trials: int, seed: object,
         raise ConfigError(f"trials: must be at least 1, got {trials}")
     checks = []
     if suite in ("properties", "all"):
-        checks += [(_PROPERTY_FNS[name], trials) for name in PROPERTY_CHECKS]
+        checks += [(fn, trials) for fn in _PROPERTY_FNS.values()]
     if suite in ("invariants", "all"):
         # Whole runs cost more per case than the pointwise properties.
-        checks += [(_INVARIANT_FNS[name], max(1, trials // 20)) for name in INVARIANT_CHECKS]
+        checks += [(fn, max(1, trials // 20)) for fn in _INVARIANT_FNS.values()]
     return list(fan_out(_run_check, (cfg, seed), checks, jobs))

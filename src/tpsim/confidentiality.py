@@ -29,7 +29,8 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 
-from .config import NOOP, SYS_ALLOC, SYS_READ, SYS_WRITE, USER_READ, USER_WRITE, Input, RunConfig
+from .config import (HONEST_MECHANISM, NOOP, SYS_ALLOC, SYS_READ, SYS_WRITE, USER_READ,
+                     USER_WRITE, Input, RunConfig)
 from .core import (
     CacheGeometry,
     ConfigError,
@@ -40,13 +41,7 @@ from .core import (
     physical_universe,
     validate_policy,
 )
-from .kernel import (
-    HONEST_MECHANISM,
-    AbstractState,
-    RunError,
-    RunOptions,
-    SystemRunner,
-)
+from .kernel import AbstractState, RunError, RunOptions, SystemRunner
 from .microarch import (
     MicroArchState,
     NondetOracle,

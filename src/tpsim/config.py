@@ -21,6 +21,7 @@ from .core import (
     DomainPolicy,
     DomainSpec,
     physical_universe,
+    set_index_of,
     validate_policy,
 )
 from .microarch import CostModel, OffCoreFlush, OnCoreFlush, PadTo, Read
@@ -159,10 +160,14 @@ def _as_addr(value: Any, where: str) -> int:
         raise ConfigError(f"{where}: unparseable hex address {value!r}") from None
 
 
-def _as_addr_list(value: Any, where: str) -> list[int]:
+def _as_list(value: Any, where: str) -> list:
     if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected a list of hex addresses")
-    return [_as_addr(v, f"{where}[{i}]") for i, v in enumerate(value)]
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _as_addr_list(value: Any, where: str) -> list[int]:
+    return [_as_addr(v, f"{where}[{i}]") for i, v in enumerate(_as_list(value, where))]
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -226,9 +231,7 @@ def parse_config(raw: dict) -> RunConfig:
     for i, d in enumerate(draw):
         where = f"policy.domains[{i}]"
         _mapping(d, "domain", where)
-        colours = _req(d, "colours", where)
-        if not isinstance(colours, list):
-            raise ConfigError(f"{where}.colours: expected a list")
+        colours = _as_list(_req(d, "colours", where), f"{where}.colours")
         domains.append(DomainSpec(
             ident=_as_int(_req(d, "id", where), f"{where}.id"),
             colours=frozenset(_as_int(c, f"{where}.colours[{j}]") for j, c in enumerate(colours)),
@@ -262,7 +265,7 @@ def parse_config(raw: dict) -> RunConfig:
     amap = AddressMap(page_size=geometry.page_size, pages=pages)
 
     objects = []
-    for i, o in enumerate(_req(ssec, "objects", "scenario")):
+    for i, o in enumerate(_as_list(_req(ssec, "objects", "scenario"), "scenario.objects")):
         where = f"scenario.objects[{i}]"
         _mapping(o, "object", where)
         objects.append(ObjectSpec(
@@ -275,23 +278,34 @@ def parse_config(raw: dict) -> RunConfig:
 
     inputs: dict[int, list[list[Input]]] = {}
     idents = {o.ident for o in objects}
-    for key, per_slice in ssec.get("inputs", {}).items():
+    inputs_raw = ssec.get("inputs", {})
+    if not isinstance(inputs_raw, dict):
+        raise ConfigError("scenario.inputs: expected a mapping of domain to input batches")
+    for key, per_slice in inputs_raw.items():
         dom = _as_int(key, "scenario.inputs key")
         if dom not in policy.domain_ids():
             raise ConfigError(f"scenario.inputs[{key}]: unknown domain {dom}")
-        if not isinstance(per_slice, list):
-            raise ConfigError(f"scenario.inputs[{key}]: expected a list of slices")
         inputs[dom] = [_parse_batch(batch, idents, f"scenario.inputs[{key}][{i}]")
-                       for i, batch in enumerate(per_slice)]
+                       for i, batch in enumerate(_as_list(per_slice, f"scenario.inputs[{key}]"))]
 
     initial_cache = []
-    for i, entry in enumerate(ssec.get("initial_cache", [])):
+    seeded: dict[int, list[int]] = {}    # set index -> lines seeded into it
+    for i, entry in enumerate(_as_list(ssec.get("initial_cache", []), "scenario.initial_cache")):
         where = f"scenario.initial_cache[{i}]"
         _mapping(entry, "initial_cache", where)
-        initial_cache.append((
-            _as_addr(_req(entry, "addr", where), f"{where}.addr"),
-            _as_int(entry.get("level", 1), f"{where}.level"),
-        ))
+        addr = _as_addr(_req(entry, "addr", where), f"{where}.addr")
+        level = _as_int(entry.get("level", 1), f"{where}.level")
+        if not 1 <= level <= cost_model.max_level:
+            raise ConfigError(f"{where}.level: must be in 1..{cost_model.max_level}, got {level}")
+        idx, line = set_index_of(addr, geometry), geometry.line_of(addr)
+        lines = seeded.setdefault(idx, [])
+        if line in lines:
+            raise ConfigError(f"{where}.addr: line {line:#x} is already seeded")
+        if len(lines) == geometry.num_ways:
+            raise ConfigError(f"{where}.addr: set {idx} already holds "
+                              f"{geometry.num_ways} seeded lines")
+        lines.append(line)
+        initial_cache.append((addr, level))
 
     scenario = Scenario(
         slices=_as_int(ssec.get("slices", 2), "scenario.slices"),
@@ -324,10 +338,8 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def _parse_batch(batch: Any, idents: set[str], where: str) -> list[Input]:
-    if not isinstance(batch, list):
-        raise ConfigError(f"{where}: expected a list of inputs")
     out = []
-    for j, d in enumerate(batch):
+    for j, d in enumerate(_as_list(batch, where)):
         at = f"{where}[{j}]"
         _mapping(d, "input", at)
         kind = d.get("kind")

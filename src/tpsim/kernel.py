@@ -30,18 +30,13 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-# Input, its kinds, the objects and the switch templates are defined in
-# config; callers may also take them from here.
 from .config import (
     HONEST_MECHANISM,
     KERNEL_CALLS,
     NOOP,
-    PREFETCH_MECHANISM,
     RAW_ACCESS,
     SYS_ALLOC,
-    SYS_READ,
     SYS_WRITE,
-    USER_READ,
     USER_WRITE,
     Input,
     ObjectSpec,
@@ -120,16 +115,8 @@ class StepRecord:
     failures: tuple[Failure, ...] = ()
 
     @property
-    def clock_before(self) -> int:
-        return self.s_mu_before.clock
-
-    @property
-    def clock_after(self) -> int:
-        return self.s_mu_after.clock
-
-    @property
     def clock_delta(self) -> int:
-        return self.clock_after - self.clock_before
+        return self.s_mu_after.clock - self.s_mu_before.clock
 
 
 def get_object(state: AbstractState, ident: str, page_size: int) -> ObjectSpec:
@@ -205,19 +192,6 @@ class RunOptions:
     oracle_factory: Optional[Callable[[int, int, str], NondetOracle]] = None
 
 
-@dataclass
-class RunResult:
-    records: list[StepRecord]
-    failures: list[Failure]
-    switches: int
-    steps: int
-    final_clock: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 @functools.lru_cache(maxsize=32)
 def _kernel_walks(policy: DomainPolicy, g: CacheGeometry) -> tuple[Trace, dict[int, Trace]]:
     """The globals walk, and each domain's image walk, of a policy.  Every
@@ -259,8 +233,6 @@ class SystemRunner:
         self.micro = self._initial_micro()
         self.slice_index = 0
         self.failures: list[Failure] = []
-        self.switch_count = 0
-        self.step_count = 0
         self._deferred: dict[int, list[Input]] = {d: [] for d in self.policy.domain_ids()}
         self._step_in_slice = 0
 
@@ -271,14 +243,12 @@ class SystemRunner:
         if not self.cfg.scenario.initial_cache:
             return state
         sets = list(state.sets)
+        # Load checked that the lines are distinct, fit their sets and have
+        # valid levels.
         for addr, level in self.cfg.scenario.initial_cache:
             idx = set_index_of(addr, self.g)
             ways = list(sets[idx].ways)
-            tag = self.g.line_of(addr)
-            for i, e in enumerate(ways):
-                if e is None or e[0] == tag:
-                    ways[i] = (tag, max(1, min(level, self.cm.max_level)))
-                    break
+            ways[ways.index(None)] = (self.g.line_of(addr), level)
             sets[idx] = sets[idx]._replace(ways=tuple(ways))
         return state._replace(sets=tuple(sets))
 
@@ -460,7 +430,6 @@ class SystemRunner:
             s_mu_before=mu_before, s_mu_after=self.micro,
             failures=tuple(failures),
         )
-        self.step_count += 1
         self._step_in_slice += 1
         return record
 
@@ -521,7 +490,6 @@ class SystemRunner:
             s_mu_before=mu_before, s_mu_after=self.micro,
             failures=tuple(failures),
         )
-        self.switch_count += 1
         return record
 
     def _switch_postcondition_failures(self, deadline: int) -> list[Failure]:
@@ -640,24 +608,6 @@ class SystemRunner:
             yield self.domain_switch(tick)
             self.slice_index += 1
 
-    def run(self, slices: int | None = None,
-            schedule: dict[int, list[list[Input]]] | None = None) -> RunResult:
-        """Drive a whole run and keep every record."""
-        return RunResult(
-            records=list(self.transitions(slices, schedule)),  # drives the run first
-            failures=self.failures,
-            switches=self.switch_count,
-            steps=self.step_count,
-            final_clock=self.micro.clock,
-        )
-
-
-def run_system(cfg: RunConfig, seed: object, options: RunOptions | None = None,
-               slices: int | None = None,
-               schedule: dict[int, list[list[Input]]] | None = None) -> RunResult:
-    runner = SystemRunner(cfg, seed, options)
-    return runner.run(slices=slices, schedule=schedule)
-
 
 def _input_to_dict(inp: Input) -> dict[str, Any]:
     """An input in the schema of scenario.inputs, so config reads it back."""
@@ -679,7 +629,7 @@ def record_to_dict(r: StepRecord) -> dict[str, Any]:
         "ta_after": [f"{v:#x}" for v in sorted(r.ta_after)],
         "kernel_trace": format_trace(r.kernel_trace),
         "trace": format_trace(r.trace),
-        "clock_before": r.clock_before,
-        "clock_after": r.clock_after,
+        "clock_before": r.s_mu_before.clock,
+        "clock_after": r.s_mu_after.clock,
         "failures": [str(f) for f in r.failures],
     }

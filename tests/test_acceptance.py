@@ -30,14 +30,8 @@ from tpsim.checks import (
 from tpsim.cli import main as cli_main
 from tpsim.confidentiality import MUTATIONS, check_confidentiality
 from tpsim.channel import prefetch_experiment
-from tpsim.kernel import (
-    Input,
-    RunOptions,
-    SYS_READ,
-    SystemRunner,
-    partition_subset_invariant,
-    run_system,
-)
+from tpsim.config import SYS_READ, Input
+from tpsim.kernel import RunOptions, SystemRunner, partition_subset_invariant
 from tpsim.microarch import flushable_reset
 
 
@@ -165,10 +159,11 @@ def test_criterion_4_inline_invariant_and_witness(capsys, ref_cfg):
     checked = 0
     ok = True
     for seed in ("c4:a", "c4:b", "c4:c"):
-        res = run_system(ref_cfg, seed=seed)
-        if res.failures:
+        runner = SystemRunner(ref_cfg, seed=seed)
+        records = list(runner.transitions())
+        if runner.failures:
             ok = False
-        for rec in res.records:
+        for rec in records:
             if rec.kind == "switch":
                 continue
             good, _ = partition_subset_invariant(
@@ -222,13 +217,14 @@ def test_criterion_6_selector_dependency(capsys, ref_cfg):
 
 
 def test_criterion_7_switch_postconditions(capsys, ref_cfg):
-    res = run_system(ref_cfg, seed="c7")
+    runner = SystemRunner(ref_cfg, seed="c7")
+    records = list(runner.transitions())
     reset = flushable_reset(ref_cfg.cost_model.flushable_words)
     g_idx = sorted(ref_cfg.policy.global_set_indices(ref_cfg.geometry))
     D = ref_cfg.policy.switch_deadline
     switches = 0
-    ok = res.ok
-    for rec in res.records:
+    ok = not runner.failures
+    for rec in records:
         if rec.kind != "switch":
             continue
         switches += 1
@@ -244,8 +240,9 @@ def test_criterion_7_switch_postconditions(capsys, ref_cfg):
     squeezed = dataclasses.replace(
         ref_cfg, policy=dataclasses.replace(ref_cfg.policy, switch_deadline=8)
     )
-    tight = run_system(squeezed, seed="c7", slices=2,
-                       options=RunOptions(collect=True))
+    tight = SystemRunner(squeezed, seed="c7", options=RunOptions(collect=True))
+    for _ in tight.transitions(slices=2):
+        pass
     padded_out = any(f.kind == "pad-violation" for f in tight.failures)
     ok = ok and switches == ref_cfg.scenario.slices and padded_out
     _verdict(
@@ -283,13 +280,13 @@ def test_criterion_9_touched_set_fuzz(capsys, ref_cfg):
         rng = random.Random(f"c9:{t}")
         schedule = _random_schedule(ref_cfg, 4, rng, _random_fuzz_input, 3)
         runner = SystemRunner(ref_cfg, f"c9:{t}", RunOptions(collect=True))
-        result = runner.run(slices=4, schedule=schedule)
-        found = audit_records(ref_cfg, result.records)
+        records = list(runner.transitions(slices=4, schedule=schedule))
+        found = audit_records(ref_cfg, records)
         if found:
             problems.extend(found[:2])
             ok = False
-        records_audited += len(result.records)
-        for rec in result.records:
+        records_audited += len(records)
+        for rec in records:
             if rec.input is None or rec.input.kind != "raw_access":
                 continue
             raw_accesses += 1

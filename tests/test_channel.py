@@ -20,9 +20,9 @@ from tpsim.channel import (
     run_prime_probe,
     write_matrix_csv,
 )
-from tpsim.config import SYS_READ
+from tpsim.config import HONEST_MECHANISM, PREFETCH_MECHANISM, SYS_READ
 from tpsim.core import ConfigError, ModelError
-from tpsim.kernel import HONEST_MECHANISM, PREFETCH_MECHANISM, Failure, RunError, SystemRunner
+from tpsim.kernel import Failure, RunError, SystemRunner
 
 
 def read_matrix_csv(path, bin_width=None):

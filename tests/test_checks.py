@@ -17,8 +17,9 @@ from tpsim.checks import (
     check_ta_adherence,
     run_suite,
 )
+from tpsim.config import PREFETCH_MECHANISM
 from tpsim.core import ConfigError, set_index_of, universe_lines
-from tpsim.kernel import PREFETCH_MECHANISM, Failure, RunOptions, SystemRunner, run_system
+from tpsim.kernel import Failure, RunOptions, SystemRunner
 from tpsim.microarch import (
     CacheSet,
     MicroArchState,
@@ -153,13 +154,13 @@ def test_random_states_draw_the_reference_stream(request, ref_cfg, shape, replac
 
 
 def test_audit_flags_doctored_records(ref_cfg):
-    res = run_system(ref_cfg, seed="audit", slices=2)
-    assert audit_records(ref_cfg, res.records) == []
+    records = list(SystemRunner(ref_cfg, seed="audit").transitions(slices=2))
+    assert audit_records(ref_cfg, records) == []
     # clone a switch record with a clock moved off the deadline
     import dataclasses
     from tpsim.microarch import MicroArchState
     doctored = []
-    for rec in res.records:
+    for rec in records:
         if rec.kind == "switch":
             mu = rec.s_mu_after
             bad = MicroArchState(mu.flushable, mu.sets, mu.clock + 1)
@@ -171,15 +172,15 @@ def test_audit_flags_doctored_records(ref_cfg):
 
 def test_audit_catches_skipped_mechanism(ref_cfg):
     opts = RunOptions(mechanism=(OnCoreFlush, PadTo), collect=True)
-    res = run_system(ref_cfg, seed="skip", slices=2, options=opts)
-    problems = audit_records(ref_cfg, res.records)
+    records = list(SystemRunner(ref_cfg, seed="skip", options=opts).transitions(slices=2))
+    problems = audit_records(ref_cfg, records)
     assert any("not scrubbed" in p for p in problems)
 
 
 def test_audit_of_a_prefetch_run_reports_only_the_unscrubbed_globals(ref_cfg):
     opts = RunOptions(mechanism=PREFETCH_MECHANISM, collect=True)
-    res = run_system(ref_cfg, seed=1, slices=2, options=opts)
-    problems = audit_records(ref_cfg, res.records)
+    records = list(SystemRunner(ref_cfg, seed=1, options=opts).transitions(slices=2))
+    problems = audit_records(ref_cfg, records)
     assert problems
     assert all("not scrubbed" in p for p in problems), problems
 

@@ -109,6 +109,18 @@ def test_counts_and_costs_out_of_range_are_exit_2(capsys, tmp_path, config_dir,
     assert (code, out) == (2, "") and f"{section}.{key}: must be >= " in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("objects", 5), ("objects", None),
+    ("inputs", [1]), ("inputs", None),
+    ("initial_cache", 3), ("initial_cache", None),
+], ids=str)
+def test_scenario_lists_of_the_wrong_type_are_exit_2(capsys, tmp_path, config_dir, key, value):
+    """Named at load, not a TypeError or AttributeError from the parser."""
+    path = _edited(tmp_path, config_dir, "scenario", key, value)
+    code, out, err = run_cli(capsys, "check", path, "--trials", "1", "--no-timestamp")
+    assert (code, out) == (2, "") and f"scenario.{key}: expected a " in err
+
+
 def test_unknown_mutation_is_an_argparse_error(config_dir):
     with pytest.raises(SystemExit) as e:
         main(["confidentiality", str(config_dir / "reference.yaml"),

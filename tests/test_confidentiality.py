@@ -15,7 +15,8 @@ from tpsim.confidentiality import (
     observer_view,
 )
 from tpsim.core import ConfigError
-from tpsim.kernel import Input, RunOptions, SystemRunner, USER_WRITE
+from tpsim.config import USER_WRITE, Input
+from tpsim.kernel import RunOptions, SystemRunner
 from tpsim.selector import perturb_invisible
 
 # The expected first-divergence site for each planted defect.  no-pad shows

@@ -8,14 +8,16 @@ import yaml
 
 from tpsim.config import (
     HONEST_MECHANISM,
+    NOOP,
     PREFETCH_MECHANISM,
+    RAW_ACCESS,
+    Input,
     load_config,
     parse_config,
     validate_config,
     worst_switch_cost,
 )
 from tpsim.core import KERNEL_VBASE, ConfigError
-from tpsim.kernel import NOOP, RAW_ACCESS, Input
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +156,24 @@ def test_initial_cache_parse(raw):
     assert cfg.scenario.initial_cache == [(0x1440, 2), (0x2400, 1)]
     with pytest.raises(ConfigError, match="initial_cache"):
         parse_config(_broken(raw, lambda d: d["scenario"].update(initial_cache=["0x1440"])))
+
+
+UNRUNNABLE_CACHES = [     # 0x1440, 0x2440 and 0x3440 all fall into set 17 of two ways
+    ("level-0", [{"addr": "0x1440", "level": 0}], "[0].level: must be in 1..2, got 0"),
+    ("level-7", [{"addr": "0x1440", "level": 7}], "[0].level: must be in 1..2, got 7"),
+    ("line-twice", [{"addr": "0x1440"}, {"addr": "0x1450", "level": 2}],
+     "[1].addr: line 0x1440 is already seeded"),
+    ("set-overfull", [{"addr": "0x1440"}, {"addr": "0x2440"}, {"addr": "0x3440"}],
+     "[2].addr: set 17 already holds 2 seeded lines"),
+]
+
+
+@pytest.mark.parametrize("name, entries, message", UNRUNNABLE_CACHES,
+                         ids=[n for n, _, _ in UNRUNNABLE_CACHES])
+def test_initial_cache_that_cannot_run_is_rejected(raw, name, entries, message):
+    """Such an entry used to be clamped, overwritten or dropped at run time."""
+    with pytest.raises(ConfigError, match=re.escape("scenario.initial_cache" + message)):
+        parse_config(_broken(raw, lambda d: d["scenario"].update(initial_cache=entries)))
 
 
 def test_scenario_inputs_are_parsed_at_load(raw):

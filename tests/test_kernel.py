@@ -7,26 +7,28 @@ import random
 import pytest
 
 from tpsim.channel import PROTECTIONS, _attack_objects, attack_variant
-from tpsim.config import _parse_batch, worst_switch_cost
-from tpsim.core import KERNEL_DOMAIN, ModelError, PolicyError, set_index_of
-from tpsim.kernel import (
+from tpsim.config import (
     HONEST_MECHANISM,
-    Input,
     NOOP,
     PREFETCH_MECHANISM,
     RAW_ACCESS,
-    RunError,
-    RunOptions,
-    StepRecord,
     SYS_ALLOC,
     SYS_READ,
     SYS_WRITE,
-    SystemRunner,
     USER_READ,
     USER_WRITE,
+    Input,
+    _parse_batch,
+    worst_switch_cost,
+)
+from tpsim.core import KERNEL_DOMAIN, ModelError, PolicyError, set_index_of
+from tpsim.kernel import (
+    RunError,
+    RunOptions,
+    StepRecord,
+    SystemRunner,
     partition_subset_invariant,
     record_to_dict,
-    run_system,
 )
 from tpsim.microarch import (
     NondetOracle,
@@ -40,6 +42,12 @@ from tpsim.microarch import (
     visible_projection,
 )
 from tpsim.selector import select_trace
+
+
+def _run(cfg, seed, options=None, **kw):
+    """A whole run through transitions(): the runner after it, and its records."""
+    runner = SystemRunner(cfg, seed, options)
+    return runner, list(runner.transitions(**kw))
 
 
 def test_worst_case_cost_formula(ref_cfg):
@@ -102,13 +110,13 @@ def test_strict_mode_raises_and_collect_mode_records(ref_cfg):
     assert [f.kind for f in rec.failures] == ["bad-input"]
     assert strict.failures == []
     with pytest.raises(RunError, match="bad-input"):
-        run_system(ref_cfg, seed=3, slices=2, schedule=BAD_INPUT_SCHEDULE)
-    lax = run_system(ref_cfg, seed=3, slices=2, schedule=BAD_INPUT_SCHEDULE,
-                     options=RunOptions(collect=True))
+        _run(ref_cfg, seed=3, slices=2, schedule=BAD_INPUT_SCHEDULE)
+    lax, records = _run(ref_cfg, seed=3, slices=2, schedule=BAD_INPUT_SCHEDULE,
+                        options=RunOptions(collect=True))
     assert [f.kind for f in lax.failures] == ["bad-input"]
     # the run went on past the failure: the next input and both switches ran
-    assert [r.kind for r in lax.records] == ["user", "user", "switch", "switch"]
-    assert lax.records[1].failures == ()
+    assert [r.kind for r in records] == ["user", "user", "switch", "switch"]
+    assert records[1].failures == ()
 
 
 def test_strict_transitions_yield_the_failing_record_before_raising(ref_cfg):
@@ -162,9 +170,9 @@ def test_run_rejects_a_rotation_out_of_turn(ref_cfg):
 
 
 def test_switch_mechanism_shape_and_postconditions(ref_cfg):
-    res = run_system(ref_cfg, seed=7)
-    assert res.ok
-    switches = [rec for rec in res.records if rec.kind == "switch"]
+    runner, records = _run(ref_cfg, seed=7)
+    assert runner.failures == []
+    switches = [rec for rec in records if rec.kind == "switch"]
     assert len(switches) == ref_cfg.scenario.slices
     L, D = ref_cfg.policy.slice_length, ref_cfg.policy.switch_deadline
     for k, rec in enumerate(switches):
@@ -172,13 +180,13 @@ def test_switch_mechanism_shape_and_postconditions(ref_cfg):
         assert tuple(type(o) for o in ops) == HONEST_MECHANISM
         assert ops[0].targets == ref_cfg.policy.kernel_globals
         assert rec.ta_after == frozenset()
-        assert rec.clock_before == (k + 1) * L + k * D
-        assert rec.clock_after == rec.clock_before + D
+        assert rec.s_mu_before.clock == (k + 1) * L + k * D
+        assert rec.s_mu_after.clock == rec.s_mu_before.clock + D
         after = rec.s_mu_after
         assert after.flushable == flushable_reset(ref_cfg.cost_model.flushable_words)
         for idx in ref_cfg.policy.global_set_indices(ref_cfg.geometry):
             assert after.sets[idx].is_empty() and after.sets[idx].meta == 0
-    assert res.final_clock == ref_cfg.scenario.slices * (L + D)
+    assert runner.micro.clock == ref_cfg.scenario.slices * (L + D)
 
 
 def test_dirty_phase_runs_clean_at_the_deadline_load_derives(ref_cfg):
@@ -186,13 +194,15 @@ def test_dirty_phase_runs_clean_at_the_deadline_load_derives(ref_cfg):
     config no longer loads; at the derived worst case every switch makes it."""
     dirty = dataclasses.replace(ref_cfg.policy, use_dirty_phase=True)
     cfg = dataclasses.replace(ref_cfg, policy=dirty)
-    missed = run_system(cfg, seed=8, options=RunOptions(collect=True))
+    missed, _ = _run(cfg, seed=8, options=RunOptions(collect=True))
     assert {f.kind for f in missed.failures} == {"pad-violation", "switch-postcondition"}
     for mechanism in (HONEST_MECHANISM, PREFETCH_MECHANISM):
         deadline = worst_switch_cost(cfg, mechanism)
         fits = dataclasses.replace(cfg, policy=dataclasses.replace(dirty, switch_deadline=deadline))
-        res = run_system(fits, seed=8, options=RunOptions(collect=True, mechanism=mechanism))
-        assert res.failures == [] and res.switches == ref_cfg.scenario.slices
+        runner, records = _run(fits, seed=8,
+                               options=RunOptions(collect=True, mechanism=mechanism))
+        assert runner.failures == []
+        assert [r.kind for r in records].count("switch") == ref_cfg.scenario.slices
 
 
 def test_undersized_deadline_is_a_pad_violation(ref_cfg):
@@ -201,10 +211,9 @@ def test_undersized_deadline_is_a_pad_violation(ref_cfg):
     squeezed = dataclasses.replace(
         ref_cfg, policy=dataclasses.replace(ref_cfg.policy, switch_deadline=8)
     )
-    res = run_system(squeezed, seed=8, slices=2,
-                     options=RunOptions(collect=True))
-    assert any(f.kind == "pad-violation" for f in res.failures)
-    switches = [rec for rec in res.records if rec.kind == "switch"]
+    runner, records = _run(squeezed, seed=8, slices=2, options=RunOptions(collect=True))
+    assert any(f.kind == "pad-violation" for f in runner.failures)
+    switches = [rec for rec in records if rec.kind == "switch"]
     assert len(switches) == 2
     for rec in switches:
         assert [type(o) for o in rec.trace] == [OffCoreFlush, OnCoreFlush]
@@ -212,7 +221,7 @@ def test_undersized_deadline_is_a_pad_violation(ref_cfg):
         assert after.flushable == flushable_reset(ref_cfg.cost_model.flushable_words)
         for idx in ref_cfg.policy.global_set_indices(ref_cfg.geometry):
             assert after.sets[idx].is_empty() and after.sets[idx].meta == 0
-        assert after.clock > rec.clock_before + 8     # the flushes cost time
+        assert after.clock > rec.s_mu_before.clock + 8     # the flushes cost time
         kinds = [f.kind for f in rec.failures]
         assert kinds.count("pad-violation") == 1
         details = " ".join(f.detail for f in rec.failures)
@@ -241,21 +250,21 @@ def test_run_that_ends_with_deferred_inputs_is_starved(ref_cfg):
     short = dataclasses.replace(
         ref_cfg, policy=dataclasses.replace(ref_cfg.policy, slice_length=500)
     )
-    res = run_system(short, seed=19, options=RunOptions(collect=True))
-    assert res.steps == 0 and not res.ok
-    starved = [f for f in res.failures if f.kind == "starved"]
+    runner, records = _run(short, seed=19, options=RunOptions(collect=True))
+    assert {r.kind for r in records} == {"switch"} and runner.failures != []
+    starved = [f for f in runner.failures if f.kind == "starved"]
     assert [f.detail.split(":")[0] for f in starved] == ["domain 0", "domain 1"]
     assert all("still deferred" in f.detail for f in starved)
     with pytest.raises(RunError, match="starved: domain 0"):
-        run_system(short, seed=19)
+        _run(short, seed=19)
 
 
 def test_prefetch_mechanism_replaces_the_targeted_flush(ref_cfg):
-    res = run_system(ref_cfg, seed=9, slices=2,
-                     options=RunOptions(mechanism=PREFETCH_MECHANISM))
-    assert res.ok
+    runner, records = _run(ref_cfg, seed=9, slices=2,
+                           options=RunOptions(mechanism=PREFETCH_MECHANISM))
+    assert runner.failures == []
     walk = tuple(sorted(ref_cfg.policy.kernel_globals))
-    for rec in res.records:
+    for rec in records:
         if rec.kind != "switch":
             continue
         # old_clean walks the globals, and the mechanism walks them again
@@ -269,8 +278,8 @@ def test_prefetch_mechanism_replaces_the_targeted_flush(ref_cfg):
 
 def test_mechanism_template_shapes_the_switch(ref_cfg):
     opts = RunOptions(mechanism=(), collect=True)
-    res = run_system(ref_cfg, seed=10, slices=2, options=opts)
-    for rec in res.records:
+    _, records = _run(ref_cfg, seed=10, slices=2, options=opts)
+    for rec in records:
         if rec.kind == "switch":
             assert rec.trace == ()
 
@@ -281,16 +290,16 @@ def test_deferral_preserves_program_order(ref_cfg):
     many = [Input(SYS_READ, obj="s_buf", offset=i) for i in range(6)]
     later = [Input(USER_READ, obj="s_probe", offset=99)]
     schedule = {0: [many, later], 1: [[Input(NOOP)], [Input(NOOP)]]}
-    res = run_system(ref_cfg, seed=11, slices=4, schedule=schedule)
-    assert res.ok
-    d0 = [rec for rec in res.records if rec.kind != "switch" and rec.domain == 0]
+    runner, records = _run(ref_cfg, seed=11, slices=4, schedule=schedule)
+    assert runner.failures == []
+    d0 = [rec for rec in records if rec.kind != "switch" and rec.domain == 0]
     offsets = [rec.input.offset for rec in d0]
     assert offsets == [0, 1, 2, 3, 4, 5, 99]
     first_slice = [rec for rec in d0 if rec.slice_index == 0]
     assert 0 < len(first_slice) < 6
     # the deferral rule fired exactly when the worst case no longer fit
     wc = SystemRunner(ref_cfg, seed=0).worst_case_cost(many[0])
-    left = ref_cfg.policy.slice_length - first_slice[-1].clock_after
+    left = ref_cfg.policy.slice_length - first_slice[-1].s_mu_after.clock
     assert wc > left
     carried = [rec for rec in d0 if rec.slice_index == 2]
     assert carried[0].input.offset == len(first_slice)
@@ -307,16 +316,17 @@ def test_ta_leak_copies_a_byte_across_domains(ref_cfg):
 
 
 def test_initial_cache_seeds_the_micro_state(ref_cfg):
-    scen = dataclasses.replace(
-        ref_cfg.scenario, initial_cache=[(0x1440, 1), (0x1440, 9), (0x2400, 2)]
-    )
+    """Each entry seeds its line at its level; two lines may share a set up to
+    its ways.  Entries that cannot run are rejected at load (test_config)."""
+    seeds = [(0x1440, 1), (0x2440, 2), (0x2400, 2)]     # 0x1440 and 0x2440 share set 17
+    scen = dataclasses.replace(ref_cfg.scenario, initial_cache=seeds)
     cfg = dataclasses.replace(ref_cfg, scenario=scen)
     r = SystemRunner(cfg, seed=13)
     g = ref_cfg.geometry
     s = r.micro
-    assert s.sets[set_index_of(0x1440, g)].level_of(g.line_of(0x1440)) \
-        == min(9, ref_cfg.cost_model.max_level)   # re-seed overwrote, clamped
-    assert s.sets[set_index_of(0x2400, g)].level_of(g.line_of(0x2400)) == 2
+    for addr, level in seeds:
+        assert s.sets[set_index_of(addr, g)].level_of(g.line_of(addr)) == level
+    assert set_index_of(0x1440, g) == set_index_of(0x2440, g) == 17
 
 
 def test_oracle_hook_and_runner_seeded_traces(ref_cfg):
@@ -326,8 +336,9 @@ def test_oracle_hook_and_runner_seeded_traces(ref_cfg):
         phases.append((slice_index, domain, phase))
         return NondetOracle(key=f"hook:{slice_index}:{domain}:{phase}")
 
-    res = run_system(ref_cfg, seed=14, slices=2, options=RunOptions(oracle_factory=factory))
-    assert res.ok
+    runner, records = _run(ref_cfg, seed=14, slices=2,
+                           options=RunOptions(oracle_factory=factory))
+    assert runner.failures == []
     kinds = {p[2] for p in phases}
     assert "old_clean" in kinds and "mechanism" in kinds
     assert any(p.startswith("step:") for p in kinds)
@@ -336,7 +347,7 @@ def test_oracle_hook_and_runner_seeded_traces(ref_cfg):
     # Whatever the oracle, trace seeds come from the runner's seed: the first
     # step's trace is the selector's choice under "14:trace:0:0".
     g = ref_cfg.geometry
-    first = res.records[0]
+    first = records[0]
     vis = visible_projection(first.s_mu_before, 0, ref_cfg.policy, "executing", g)
     assert first.trace == select_trace(first.ta_after, vis, ref_cfg.amap,
                                        ref_cfg.analysis.trace_budget, "14:trace:0:0",
@@ -345,17 +356,20 @@ def test_oracle_hook_and_runner_seeded_traces(ref_cfg):
     # Without the hook, oracle keys come from the runner's seed too.
     keyed = RunOptions(oracle_factory=lambda sl, dom, ph:
                        NondetOracle(key=f"14:oracle:{sl}:{dom}:{ph}"))
-    assert run_system(ref_cfg, seed=14, slices=2, options=keyed).records \
-        == run_system(ref_cfg, seed=14, slices=2).records
+    assert _run(ref_cfg, seed=14, slices=2, options=keyed)[1] \
+        == _run(ref_cfg, seed=14, slices=2)[1]
 
 
 def test_default_scenario_runs_clean_and_serializes(ref_cfg):
-    res = run_system(ref_cfg, seed=15)
-    assert res.ok and res.switches == 6 and res.steps > 0
-    for rec in res.records:
+    runner, records = _run(ref_cfg, seed=15)
+    kinds = [rec.kind for rec in records]
+    assert runner.failures == [] and kinds.count("switch") == 6 and len(kinds) > 6
+    for rec in records:
         d = record_to_dict(rec)
         json.dumps(d)   # must be JSON-clean
         assert parse_trace(d["trace"]) == rec.trace
+        assert (d["clock_before"], d["clock_after"]) \
+            == (rec.s_mu_before.clock, rec.s_mu_after.clock)
         assert d["clock_after"] - d["clock_before"] == rec.clock_delta
 
 
@@ -363,12 +377,11 @@ def test_scenario_rotation_lookup(ref_cfg):
     inputs = ref_cfg.scenario.inputs     # parsed once, at load
     assert inputs[0][0] == [Input(USER_READ, obj="s_buf", offset=0)]
     assert inputs[1][2] == [Input(SYS_WRITE, obj="t_obj", offset=8, byte=9)]
-    # run() reads the scenario's batches when it is given no schedule
-    assert run_system(ref_cfg, seed=16).records \
-        == run_system(ref_cfg, seed=16, schedule=inputs).records
+    # transitions() reads the scenario's batches when it is given no schedule
+    assert _run(ref_cfg, seed=16)[1] == _run(ref_cfg, seed=16, schedule=inputs)[1]
     # rotations past the last batch run no input
-    res = run_system(ref_cfg, seed=16, slices=8)
-    assert [r.kind for r in res.records if r.slice_index >= 6] == ["switch", "switch"]
+    _, records = _run(ref_cfg, seed=16, slices=8)
+    assert [r.kind for r in records if r.slice_index >= 6] == ["switch", "switch"]
 
 
 def test_transitions_yield_each_record_with_the_live_state(ref_cfg):
@@ -377,7 +390,7 @@ def test_transitions_yield_each_record_with_the_live_state(ref_cfg):
     for rec in runner.transitions(slices=2):
         assert rec.s_mu_after is runner.micro    # the runner has not moved on yet
         yielded.append(rec)
-    assert yielded == run_system(ref_cfg, seed=17, slices=2).records
+    assert yielded == _run(ref_cfg, seed=17, slices=2)[1]
     kinds = [rec.kind for rec in yielded]
     assert kinds.count("switch") == 2 and len(kinds) > 2
 
@@ -407,8 +420,8 @@ def test_forked_probe_runs_match_unforked_runs(request, config):
         prefix = list(runner.transitions(slices=1, schedule={spy: spy_batches}))
         for signal in (Input(NOOP), Input(SYS_READ, obj=trojan_obj)):
             schedule = {spy: spy_batches, trojan: [[signal]]}
-            whole = SystemRunner(acfg, seed=protection, options=options).run(
-                slices=3, schedule=schedule).records
+            _, whole = _run(acfg, seed=protection, options=options,
+                            slices=3, schedule=schedule)
             forked = list(prefix)
             for rec in runner.fork().transitions(slices=3, schedule=schedule):
                 forked.append(rec)
