@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .config import NOOP, PREFETCH_MECHANISM, SYS_READ, USER_READ, Input, RunConfig
 from .core import ConfigError, fan_out, pool_size
-from .kernel import RunOptions, SystemRunner
+from .kernel import RunError, RunOptions, SystemRunner
 
 if TYPE_CHECKING:
     import numpy as np
@@ -291,7 +291,7 @@ def _probe_pair(cfg: RunConfig, options: RunOptions, seed: object, index: int,
 
     Both symbols share the prime slice and the switch after it, so that part
     runs once and each symbol goes on in its own fork.  A fork stops at the
-    probe step: the switch after it feeds no measurement.
+    probe step: the switch after it feeds no measurement.  Any failure aborts.
     """
     spy, trojan = cfg.policy.domain_ids()[:2]
     spy_batches = [[Input(kind=USER_READ, obj=prime_obj)], [Input(kind=SYS_READ, obj=probe_obj)]]
@@ -306,7 +306,9 @@ def _probe_pair(cfg: RunConfig, options: RunOptions, seed: object, index: int,
         schedule = {spy: spy_batches, trojan: [[signal]]}
         probe = next(r for r in twin.transitions(slices=3, schedule=schedule)
                      if r.slice_index == 2 and r.kind != "switch")
-        twin.finish(probe)
+        twin.finish()
+        if twin.failures:
+            raise RunError(twin.failures[0])
         latencies.append(probe.clock_delta)
     return latencies[0], latencies[1]
 

@@ -29,7 +29,7 @@ from .core import (
     set_index_of,
     universe_lines,
 )
-from .kernel import Failure, RunOptions, StepRecord, SystemRunner, partition_subset_invariant
+from .kernel import Failure, StepRecord, SystemRunner, partition_subset_invariant
 from .microarch import (
     CacheSet,
     MicroArchState,
@@ -397,13 +397,13 @@ def _random_runs(cfg: RunConfig, trials: int, key: str,
                  gen: Callable[[RunConfig, int, random.Random], Input]
                  ) -> Iterator[tuple[list[StepRecord], list[Failure]]]:
     """trials whole runs of random schedules from gen, two rotations each,
-    as (records, failures).  Every run collects its failures, so a model
+    as (records, failures).  A run records its failures and goes on, so a model
     failure is a result to report and only a defect of the code raises."""
     nslices = 2 * len(cfg.policy.domains)
     for t in range(trials):
         rng = random.Random(f"{key}:{t}")
         schedule = _random_schedule(cfg, nslices, rng, gen, 3)
-        runner = SystemRunner(cfg, f"{key}:{t}", RunOptions(collect=True))
+        runner = SystemRunner(cfg, f"{key}:{t}")
         records = list(runner.transitions(slices=nslices, schedule=schedule))
         yield records, runner.failures
 
@@ -433,12 +433,11 @@ def check_ta_adherence(cfg: RunConfig, trials: int, seed: object) -> CheckResult
             if rec.kind == "switch" or rec.input is None:
                 continue
             if rec.input.kind == RAW_ACCESS:
+                v = rec.input.vaddr
                 tracked = any(f.kind == "ta-violation" for f in rec.failures) \
-                    or (rec.input.vaddr or 0) - ((rec.input.vaddr or 0) % cfg.amap.page_size) \
-                    in rec.ta_before
+                    or v - v % cfg.amap.page_size in rec.ta_before
                 if not tracked:
-                    res.fail(t, f"raw access {rec.input.vaddr:#x} neither tracked "
-                                f"nor flagged")
+                    res.fail(t, f"raw access {v:#x} neither tracked nor flagged")
     return res
 
 

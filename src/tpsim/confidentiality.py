@@ -41,7 +41,7 @@ from .core import (
     physical_universe,
     validate_policy,
 )
-from .kernel import AbstractState, RunError, RunOptions, SystemRunner
+from .kernel import AbstractState, RunOptions, SystemRunner
 from .microarch import (
     MicroArchState,
     NondetOracle,
@@ -350,25 +350,24 @@ def _run_once(cfg: RunConfig, options: RunOptions, trial_key: str, tag: str,
     # the oracle factory shares the observer's and the mechanism's words only.
     opts = replace(options, oracle_factory=_pair_oracle_factory(trial_key, observer, tag))
     runner = SystemRunner(cfg, trial_key, opts)
-    try:
-        for record in runner.transitions(schedule=build_schedule(cfg, observer, trial_key, tag)):
-            for f in record.failures:
-                hypothesis.append(f"{record.kind} slice {record.slice_index}: {f}")
-            if record.kind == "switch":
-                shapes = tuple(type(op) for op in record.trace)
-                if shapes != HONEST_MECHANISM:
-                    hypothesis.append(
-                        f"switch slice {record.slice_index}: mechanism trace is "
-                        f"{[t.__name__ for t in shapes]}, not the exact flush/flush/pad sequence"
-                    )
-            views.append((
-                (record.kind, record.slice_index, record.domain),
-                observer_view(runner.abstract, runner.micro, observer,
-                              runner.policy, runner.g),
-            ))
-    except RunError as e:
-        return views, e.failure, hypothesis[:3]
-    return views, None, hypothesis[:3]
+    for record in runner.transitions(schedule=build_schedule(cfg, observer, trial_key, tag)):
+        for f in record.failures:
+            hypothesis.append(f"{record.kind} slice {record.slice_index}: {f}")
+        if record.kind == "switch":
+            shapes = tuple(type(op) for op in record.trace)
+            if shapes != HONEST_MECHANISM:
+                hypothesis.append(
+                    f"switch slice {record.slice_index}: mechanism trace is "
+                    f"{[t.__name__ for t in shapes]}, not the exact flush/flush/pad sequence"
+                )
+        views.append((
+            (record.kind, record.slice_index, record.domain),
+            observer_view(runner.abstract, runner.micro, observer,
+                          runner.policy, runner.g),
+        ))
+        if runner.failures:
+            break
+    return views, next(iter(runner.failures), None), hypothesis[:3]
 
 
 def _trial(cfg: RunConfig, options: RunOptions, observer: int, include_micro: bool,

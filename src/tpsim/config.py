@@ -58,6 +58,8 @@ class Input:
     def __post_init__(self):
         if self.kind not in INPUT_KINDS:
             raise ValueError(f"unknown input kind {self.kind!r}")
+        if self.kind == RAW_ACCESS and self.vaddr is None:
+            raise ValueError("a raw_access input needs a vaddr")
 
 
 @dataclass
@@ -268,8 +270,11 @@ def parse_config(raw: dict) -> RunConfig:
     for i, o in enumerate(_as_list(_req(ssec, "objects", "scenario"), "scenario.objects")):
         where = f"scenario.objects[{i}]"
         _mapping(o, "object", where)
+        ident = _req(o, "id", where)
+        if not isinstance(ident, str):
+            raise ConfigError(f"{where}.id: expected a string, got {ident!r}")
         objects.append(ObjectSpec(
-            ident=str(_req(o, "id", where)),
+            ident=ident,
             owner=_as_int(_req(o, "owner", where), f"{where}.owner"),
             base=_as_addr(_req(o, "base", where), f"{where}.base"),
             size=_as_int(_req(o, "size", where), f"{where}.size"),
@@ -277,7 +282,7 @@ def parse_config(raw: dict) -> RunConfig:
         ))
 
     inputs: dict[int, list[list[Input]]] = {}
-    idents = {o.ident for o in objects}
+    sizes = {o.ident: o.size for o in objects}
     inputs_raw = ssec.get("inputs", {})
     if not isinstance(inputs_raw, dict):
         raise ConfigError("scenario.inputs: expected a mapping of domain to input batches")
@@ -285,7 +290,7 @@ def parse_config(raw: dict) -> RunConfig:
         dom = _as_int(key, "scenario.inputs key")
         if dom not in policy.domain_ids():
             raise ConfigError(f"scenario.inputs[{key}]: unknown domain {dom}")
-        inputs[dom] = [_parse_batch(batch, idents, f"scenario.inputs[{key}][{i}]")
+        inputs[dom] = [_parse_batch(batch, sizes, f"scenario.inputs[{key}][{i}]")
                        for i, batch in enumerate(_as_list(per_slice, f"scenario.inputs[{key}]"))]
 
     initial_cache = []
@@ -337,7 +342,8 @@ def parse_config(raw: dict) -> RunConfig:
     return cfg
 
 
-def _parse_batch(batch: Any, idents: set[str], where: str) -> list[Input]:
+def _parse_batch(batch: Any, sizes: dict[str, int], where: str) -> list[Input]:
+    """Inputs of one batch; sizes maps each object id to its size."""
     out = []
     for j, d in enumerate(_as_list(batch, where)):
         at = f"{where}[{j}]"
@@ -347,15 +353,19 @@ def _parse_batch(batch: Any, idents: set[str], where: str) -> list[Input]:
             raise ConfigError(f"{at}.kind: unknown input kind {kind!r}; "
                               f"know {', '.join(INPUT_KINDS)}")
         obj = d.get("obj")
-        if kind in (USER_READ, USER_WRITE, SYS_READ, SYS_WRITE) and obj not in idents:
+        named = kind in (USER_READ, USER_WRITE, SYS_READ, SYS_WRITE)
+        if named and obj not in sizes:
             raise ConfigError(f"{at}.obj: unknown object {obj!r}")
-        out.append(Input(
-            kind=kind,
-            obj=obj,
-            offset=_as_int(d.get("offset", 0), f"{at}.offset"),
-            byte=_as_int(d.get("byte", 0), f"{at}.byte"),
-            vaddr=_as_addr(d["vaddr"], f"{at}.vaddr") if "vaddr" in d else None,
-        ))
+        offset = _as_int(d.get("offset", 0), f"{at}.offset")
+        if named and not 0 <= offset < sizes[obj]:
+            raise ConfigError(f"{at}.offset: must be in 0..{sizes[obj] - 1}, got {offset}")
+        byte = _as_int(d.get("byte", 0), f"{at}.byte")
+        if named and not 0 <= byte <= 255:
+            raise ConfigError(f"{at}.byte: must be in 0..255, got {byte}")
+        if kind == RAW_ACCESS:
+            _req(d, "vaddr", at)
+        out.append(Input(kind=kind, obj=obj, offset=offset, byte=byte,
+                         vaddr=_as_addr(d["vaddr"], f"{at}.vaddr") if "vaddr" in d else None))
     return out
 
 

@@ -72,7 +72,7 @@ from .microarch import (
 from .selector import select_trace, select_trace_peeking
 
 class RunError(ModelError):
-    """A hard failure aborted a strict-mode run."""
+    """A consumer aborted a run at one of its failures."""
 
     def __init__(self, failure: "Failure"):
         super().__init__(str(failure))
@@ -178,14 +178,12 @@ _TEMPLATE_OPS = {
 class RunOptions:
     """Behavioural switches for a run.
 
-    collect keeps a run going past hard failures (they are still recorded).
     mechanism is the switch template; the mutation harness and the attack
     variants edit it, and the default gives the honest kernel.
     oracle_factory replaces the oracle of a (slice, domain, phase); by
     default every oracle and trace seed is keyed on the runner's seed.
     """
 
-    collect: bool = False
     mechanism: tuple[type, ...] = HONEST_MECHANISM
     selector_peek: bool = False
     ta_leak: bool = False
@@ -262,13 +260,6 @@ class SystemRunner:
             return self.globals_walk + self.image_walks[domain]
         return ()
 
-    # -- failure plumbing --
-
-    def _register(self, failure: Failure) -> None:
-        self.failures.append(failure)
-        if not self.options.collect:
-            raise RunError(failure)
-
     def _apply(self, trace: Trace, oracle: NondetOracle, failures: list[Failure]) -> Trace:
         """Apply a trace to the hardware state; returns the operations that ran.
 
@@ -316,7 +307,7 @@ class SystemRunner:
             return failures, footprint
 
         if input.kind == RAW_ACCESS:
-            v = input.vaddr if input.vaddr is not None else 0
+            v = input.vaddr
             f = access_mem(st, v, psz)
             if f:
                 failures.append(f)
@@ -450,6 +441,9 @@ class SystemRunner:
         ta_before = frozenset(st.ta)
         mu_before = self.micro
         failures: list[Failure] = []
+        if self.micro.clock > tick:
+            failures.append(Failure("tick-overrun", f"slice work ran to {self.micro.clock}, "
+                                                    f"past the tick {tick}"))
         deadline = tick + self.policy.switch_deadline
 
         # Phase 1, old_clean: deterministic scheduler bookkeeping over the
@@ -524,30 +518,24 @@ class SystemRunner:
         just after it.
 
         The run goes on from slice_index and stops before slice index
-        slices, by default the scenario's.  When the consumer resumes, the
-        record's failures are registered: under collect the run goes on,
-        otherwise RunError is raised.  schedule maps each domain to its input
+        slices, by default the scenario's.  Each record's failures join
+        self.failures before it is yielded, and the run goes on; a consumer
+        that wants to stop breaks out.  schedule maps each domain to its input
         batches, one per rotation; it defaults to the scenario's inputs.
         """
         for record in self._slices(slices, schedule):
+            self.failures.extend(record.failures)
             yield record
-            for f in record.failures:
-                self._register(f)
         self.finish()
 
-    def finish(self, last: StepRecord | None = None) -> None:
-        """End the run: register the failures of last, the record at which a
-        consumer stopped transitions() early, then mark the run starved if
-        inputs are still deferred.  transitions() calls it when the run ends.
-        """
-        if last is not None:
-            for f in last.failures:
-                self._register(f)
+    def finish(self) -> None:
+        """Mark the run starved if inputs are still deferred.  transitions()
+        calls it at the end; a consumer that stops early calls it itself."""
         # A run that never got to some inputs says nothing about them.
         for domain, queue in self._deferred.items():
             if queue:
-                self._register(Failure("starved", f"domain {domain}: {len(queue)} "
-                                                  f"input(s) still deferred when the run ended"))
+                self.failures.append(Failure("starved", f"domain {domain}: {len(queue)} "
+                                                        f"input(s) still deferred when the run ended"))
 
     def fork(self) -> "SystemRunner":
         """An independent runner at the same point of the run.
@@ -595,13 +583,9 @@ class SystemRunner:
                     break
                 yield self.step(inp)
 
-            # Idle to the timer tick; slices end on exact boundaries.
-            if self.micro.clock > tick:
-                self._register(Failure(
-                    kind="tick-overrun",
-                    detail=f"slice work ran to {self.micro.clock}, past the tick {tick}",
-                ))
-            else:
+            # Idle to the timer tick; slices end on exact boundaries.  A slice
+            # that ran past it is a failure of the switch that follows.
+            if self.micro.clock < tick:
                 self.micro = self.micro._replace(clock=tick)
             self.abstract.slot_remaining = 0
 

@@ -31,7 +31,7 @@ from tpsim.cli import main as cli_main
 from tpsim.confidentiality import MUTATIONS, check_confidentiality
 from tpsim.channel import prefetch_experiment
 from tpsim.config import SYS_READ, Input
-from tpsim.kernel import RunOptions, SystemRunner, partition_subset_invariant
+from tpsim.kernel import SystemRunner, partition_subset_invariant
 from tpsim.microarch import flushable_reset
 
 
@@ -174,8 +174,7 @@ def test_criterion_4_inline_invariant_and_witness(capsys, ref_cfg):
             if not good or any(f.kind == "invariant" for f in rec.failures):
                 ok = False
 
-    planted = SystemRunner(ref_cfg, seed="c4:plant",
-                           options=RunOptions(collect=True))
+    planted = SystemRunner(ref_cfg, seed="c4:plant")
     rec = planted.step(Input(SYS_READ, obj="t_obj"))
     hits = [f for f in rec.failures if f.kind == "invariant"]
     witness_ok = bool(hits) and 0x21000 in hits[0].witnesses
@@ -240,7 +239,7 @@ def test_criterion_7_switch_postconditions(capsys, ref_cfg):
     squeezed = dataclasses.replace(
         ref_cfg, policy=dataclasses.replace(ref_cfg.policy, switch_deadline=8)
     )
-    tight = SystemRunner(squeezed, seed="c7", options=RunOptions(collect=True))
+    tight = SystemRunner(squeezed, seed="c7")
     for _ in tight.transitions(slices=2):
         pass
     padded_out = any(f.kind == "pad-violation" for f in tight.failures)
@@ -279,7 +278,7 @@ def test_criterion_9_touched_set_fuzz(capsys, ref_cfg):
     for t in range(runs):
         rng = random.Random(f"c9:{t}")
         schedule = _random_schedule(ref_cfg, 4, rng, _random_fuzz_input, 3)
-        runner = SystemRunner(ref_cfg, f"c9:{t}", RunOptions(collect=True))
+        runner = SystemRunner(ref_cfg, f"c9:{t}")
         records = list(runner.transitions(slices=4, schedule=schedule))
         found = audit_records(ref_cfg, records)
         if found:

@@ -171,14 +171,14 @@ def test_audit_flags_doctored_records(ref_cfg):
 
 
 def test_audit_catches_skipped_mechanism(ref_cfg):
-    opts = RunOptions(mechanism=(OnCoreFlush, PadTo), collect=True)
+    opts = RunOptions(mechanism=(OnCoreFlush, PadTo))
     records = list(SystemRunner(ref_cfg, seed="skip", options=opts).transitions(slices=2))
     problems = audit_records(ref_cfg, records)
     assert any("not scrubbed" in p for p in problems)
 
 
 def test_audit_of_a_prefetch_run_reports_only_the_unscrubbed_globals(ref_cfg):
-    opts = RunOptions(mechanism=PREFETCH_MECHANISM, collect=True)
+    opts = RunOptions(mechanism=PREFETCH_MECHANISM)
     records = list(SystemRunner(ref_cfg, seed=1, options=opts).transitions(slices=2))
     problems = audit_records(ref_cfg, records)
     assert problems

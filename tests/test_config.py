@@ -17,6 +17,7 @@ from tpsim.config import (
     validate_config,
     worst_switch_cost,
 )
+from tpsim.cli import main
 from tpsim.core import KERNEL_VBASE, ConfigError
 
 
@@ -204,6 +205,44 @@ def test_scenario_inputs_are_parsed_at_load(raw):
     cfg = parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0].append(
         [{"kind": "raw_access", "vaddr": "0x10020"}, {"kind": "noop"}])))
     assert cfg.scenario.inputs[0][3] == [Input(RAW_ACCESS, vaddr=0x10020), Input(NOOP)]
+    with pytest.raises(ValueError, match="raw_access input needs a vaddr"):
+        Input(RAW_ACCESS)
+
+
+UNRUNNABLE_INPUTS = [
+    ("raw-access-without-vaddr",
+     lambda d: d["scenario"]["inputs"][0][0].append({"kind": "raw_access"}),
+     "scenario.inputs[0][0][1].vaddr: missing required field"),
+    ("negative-offset", lambda d: d["scenario"]["inputs"][0][2][0].update(offset=-5),
+     "scenario.inputs[0][2][0].offset: must be in 0..2047, got -5"),
+    ("offset-past-the-object", lambda d: d["scenario"]["inputs"][0][1][0].update(offset=256),
+     "scenario.inputs[0][1][0].offset: must be in 0..255, got 256"),
+    ("byte-above-255", lambda d: d["scenario"]["inputs"][0][2][0].update(byte=999),
+     "scenario.inputs[0][2][0].byte: must be in 0..255, got 999"),
+    ("negative-byte", lambda d: d["scenario"]["inputs"][1][2][0].update(byte=-1),
+     "scenario.inputs[1][2][0].byte: must be in 0..255, got -1"),
+    ("object-id-a-list", lambda d: d["scenario"]["objects"][0].update(id=[1]),
+     "scenario.objects[0].id: expected a string, got [1]"),
+    ("object-id-a-number", lambda d: d["scenario"]["objects"][0].update(id=5),
+     "scenario.objects[0].id: expected a string, got 5"),
+]
+
+
+@pytest.mark.parametrize("name, mutate, message", UNRUNNABLE_INPUTS,
+                         ids=[n for n, _, _ in UNRUNNABLE_INPUTS])
+def test_inputs_and_objects_the_kernel_cannot_run_are_exit_2(raw, tmp_path, capsys,
+                                                             name, mutate, message):
+    """A raw access with no address, an offset outside its object, a byte
+    that is not a byte and an object id that is not a string are config
+    faults: rejected at load, naming the field, rather than run as a kernel
+    failure or silently wrapped."""
+    doc = _broken(raw, mutate)
+    with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+        parse_config(doc)
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["check", str(path), "--trials", "1", "--no-timestamp"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_validate_config_catches_colour_overlap(raw, ref_cfg):

@@ -23,7 +23,6 @@ from tpsim.config import (
 )
 from tpsim.core import KERNEL_DOMAIN, ModelError, PolicyError, set_index_of
 from tpsim.kernel import (
-    RunError,
     RunOptions,
     StepRecord,
     SystemRunner,
@@ -64,7 +63,7 @@ def test_worst_case_cost_formula(ref_cfg):
 
 def test_step_cost_never_exceeds_worst_case(ref_cfg):
     rng = random.Random("wc")
-    r = SystemRunner(ref_cfg, seed="wc", options=RunOptions(collect=True))
+    r = SystemRunner(ref_cfg, seed="wc")
     for trial in range(200):
         obj = rng.choice(["s_buf", "s_probe"])
         kind = rng.choice([USER_READ, USER_WRITE, SYS_READ, SYS_WRITE, NOOP])
@@ -86,7 +85,7 @@ def test_get_object_grows_the_touched_set(ref_cfg):
 
 
 def test_raw_access_requires_retrieval(ref_cfg):
-    r = SystemRunner(ref_cfg, seed=2, options=RunOptions(collect=True))
+    r = SystemRunner(ref_cfg, seed=2)
     rec = r.step(Input(RAW_ACCESS, vaddr=0x10020))
     assert any(f.kind == "ta-violation" and f.vaddr == 0x10020 for f in rec.failures)
     assert rec.trace == () and rec.kernel_trace == ()
@@ -102,36 +101,45 @@ BAD_INPUT_SCHEDULE = {0: [[Input(USER_READ, obj="no-such-object"),
                            Input(USER_READ, obj="s_buf")]]}
 
 
-def test_strict_mode_raises_and_collect_mode_records(ref_cfg):
-    """Strict and collect are properties of the driver: a bare step only
-    records its failures, whatever the mode."""
-    strict = SystemRunner(ref_cfg, seed=3)
-    rec = strict.step(Input(USER_READ, obj="no-such-object"))
+def test_transitions_register_each_record_before_yielding_it(ref_cfg):
+    """A bare step only records its failures; the driver adds a record's
+    failures to runner.failures before it yields the record, and goes on."""
+    bare = SystemRunner(ref_cfg, seed=3)
+    rec = bare.step(Input(USER_READ, obj="no-such-object"))
     assert [f.kind for f in rec.failures] == ["bad-input"]
-    assert strict.failures == []
-    with pytest.raises(RunError, match="bad-input"):
-        _run(ref_cfg, seed=3, slices=2, schedule=BAD_INPUT_SCHEDULE)
-    lax, records = _run(ref_cfg, seed=3, slices=2, schedule=BAD_INPUT_SCHEDULE,
-                        options=RunOptions(collect=True))
-    assert [f.kind for f in lax.failures] == ["bad-input"]
+    assert bare.failures == []
+    r = SystemRunner(ref_cfg, seed=3)
+    records = []
+    for rec in r.transitions(slices=2, schedule=BAD_INPUT_SCHEDULE):
+        assert r.failures == [f for seen in records + [rec] for f in seen.failures]
+        records.append(rec)
+    assert [str(f) for f in r.failures] == ["bad-input: unknown object 'no-such-object'"]
     # the run went on past the failure: the next input and both switches ran
     assert [r.kind for r in records] == ["user", "user", "switch", "switch"]
     assert records[1].failures == ()
 
 
-def test_strict_transitions_yield_the_failing_record_before_raising(ref_cfg):
-    r = SystemRunner(ref_cfg, seed=3)
-    steps = r.transitions(slices=2, schedule=BAD_INPUT_SCHEDULE)
-    rec = next(steps)
-    assert [f.kind for f in rec.failures] == ["bad-input"]
-    assert r.failures == []              # registered only when the consumer resumes
-    with pytest.raises(RunError, match="unknown object 'no-such-object'"):
-        next(steps)
-    assert [f.kind for f in r.failures] == ["bad-input"]
+def test_a_slice_that_overruns_its_tick_fails_the_next_switch(ref_cfg, monkeypatch):
+    """With deferral defeated, a kernel call runs past a short slice's tick:
+    its step records a slot-overrun, and the switch after the slice records
+    the tick-overrun."""
+    monkeypatch.setattr(SystemRunner, "worst_case_cost", lambda self, inp: 0)
+    short = dataclasses.replace(
+        ref_cfg, policy=dataclasses.replace(ref_cfg.policy, slice_length=500)
+    )
+    schedule = {0: [[Input(SYS_READ, obj="s_buf")]]}
+    runner, records = _run(short, seed=22, slices=1, schedule=schedule)
+    assert [r.kind for r in records] == ["kernel-call", "switch"]
+    assert [f.kind for f in records[0].failures] == ["slot-overrun"]
+    overrun = records[1].failures[0]
+    assert overrun.kind == "tick-overrun" and "past the tick 500" in overrun.detail
+    assert runner.failures == [f for rec in records for f in rec.failures]
+    kinds = [f.kind for f in runner.failures]
+    assert kinds.index("slot-overrun") < kinds.index("tick-overrun")
 
 
 def test_cross_domain_object_breaks_the_invariant(ref_cfg):
-    r = SystemRunner(ref_cfg, seed=4, options=RunOptions(collect=True))
+    r = SystemRunner(ref_cfg, seed=4)
     rec = r.step(Input(SYS_READ, obj="t_obj"))
     bad = [f for f in rec.failures if f.kind == "invariant"]
     assert bad and 0x21000 in bad[0].witnesses
@@ -194,13 +202,13 @@ def test_dirty_phase_runs_clean_at_the_deadline_load_derives(ref_cfg):
     config no longer loads; at the derived worst case every switch makes it."""
     dirty = dataclasses.replace(ref_cfg.policy, use_dirty_phase=True)
     cfg = dataclasses.replace(ref_cfg, policy=dirty)
-    missed, _ = _run(cfg, seed=8, options=RunOptions(collect=True))
+    missed, _ = _run(cfg, seed=8)
     assert {f.kind for f in missed.failures} == {"pad-violation", "switch-postcondition"}
     for mechanism in (HONEST_MECHANISM, PREFETCH_MECHANISM):
         deadline = worst_switch_cost(cfg, mechanism)
         fits = dataclasses.replace(cfg, policy=dataclasses.replace(dirty, switch_deadline=deadline))
         runner, records = _run(fits, seed=8,
-                               options=RunOptions(collect=True, mechanism=mechanism))
+                               options=RunOptions(mechanism=mechanism))
         assert runner.failures == []
         assert [r.kind for r in records].count("switch") == ref_cfg.scenario.slices
 
@@ -211,7 +219,7 @@ def test_undersized_deadline_is_a_pad_violation(ref_cfg):
     squeezed = dataclasses.replace(
         ref_cfg, policy=dataclasses.replace(ref_cfg.policy, switch_deadline=8)
     )
-    runner, records = _run(squeezed, seed=8, slices=2, options=RunOptions(collect=True))
+    runner, records = _run(squeezed, seed=8, slices=2)
     assert any(f.kind == "pad-violation" for f in runner.failures)
     switches = [rec for rec in records if rec.kind == "switch"]
     assert len(switches) == 2
@@ -232,8 +240,7 @@ def test_undersized_deadline_is_a_pad_violation(ref_cfg):
 def test_failed_step_trace_keeps_the_ops_before_the_failure(ref_cfg):
     """An oracle that runs out mid-trace: the step records the operations
     that ran, and the state holds exactly their effect."""
-    opts = RunOptions(collect=True,
-                      oracle_factory=lambda sl, dom, phase: NondetOracle(words=range(7)))
+    opts = RunOptions(oracle_factory=lambda sl, dom, phase: NondetOracle(words=range(7)))
     r = SystemRunner(ref_cfg, seed=18, options=opts)
     rec = r.step(Input(SYS_READ, obj="s_buf"))
     assert [f.kind for f in rec.failures] == ["trace-error"]
@@ -250,13 +257,11 @@ def test_run_that_ends_with_deferred_inputs_is_starved(ref_cfg):
     short = dataclasses.replace(
         ref_cfg, policy=dataclasses.replace(ref_cfg.policy, slice_length=500)
     )
-    runner, records = _run(short, seed=19, options=RunOptions(collect=True))
+    runner, records = _run(short, seed=19)
     assert {r.kind for r in records} == {"switch"} and runner.failures != []
     starved = [f for f in runner.failures if f.kind == "starved"]
     assert [f.detail.split(":")[0] for f in starved] == ["domain 0", "domain 1"]
     assert all("still deferred" in f.detail for f in starved)
-    with pytest.raises(RunError, match="starved: domain 0"):
-        _run(short, seed=19)
 
 
 def test_prefetch_mechanism_replaces_the_targeted_flush(ref_cfg):
@@ -277,7 +282,7 @@ def test_prefetch_mechanism_replaces_the_targeted_flush(ref_cfg):
 
 
 def test_mechanism_template_shapes_the_switch(ref_cfg):
-    opts = RunOptions(mechanism=(), collect=True)
+    opts = RunOptions(mechanism=())
     _, records = _run(ref_cfg, seed=10, slices=2, options=opts)
     for rec in records:
         if rec.kind == "switch":
@@ -400,10 +405,10 @@ def test_record_inputs_read_back_as_scenario_inputs(ref_cfg):
     r = SystemRunner(ref_cfg, seed=20)
     recs = [r.step(Input(USER_WRITE, obj="s_buf", offset=3, byte=0xAB)),
             r.step(Input(RAW_ACCESS, vaddr=0x10020))]
-    idents = {o.ident for o in ref_cfg.scenario.objects}
+    sizes = {o.ident: o.size for o in ref_cfg.scenario.objects}
     for rec in recs:
         d = json.loads(json.dumps(record_to_dict(rec)))
-        assert _parse_batch([d["input"]], idents, "record") == [rec.input]
+        assert _parse_batch([d["input"]], sizes, "record") == [rec.input]
 
 
 @pytest.mark.parametrize("config", ["ref_cfg", "adv_cfg"])
@@ -434,7 +439,7 @@ def test_forked_probe_runs_match_unforked_runs(request, config):
 
 
 def test_a_fork_shares_no_mutable_state_with_its_parent(ref_cfg):
-    r = SystemRunner(ref_cfg, seed=21, options=RunOptions(collect=True))
+    r = SystemRunner(ref_cfg, seed=21)
     r.step(Input(USER_WRITE, obj="s_buf", offset=1, byte=5))
     r._deferred[0].append(Input(NOOP))
     before = (dict(r.abstract.objects["s_buf"].payload), set(r.abstract.ta),
@@ -443,7 +448,7 @@ def test_a_fork_shares_no_mutable_state_with_its_parent(ref_cfg):
     twin = r.fork()
     twin.step(Input(USER_WRITE, obj="s_buf", offset=2, byte=9))    # payload byte
     twin.step(Input(USER_READ, obj="s_probe"))                      # touched page
-    twin._register(twin.step(Input(RAW_ACCESS, vaddr=0x20000)).failures[0])   # a failure
+    twin.failures.append(twin.step(Input(RAW_ACCESS, vaddr=0x20000)).failures[0])   # a failure
     twin._deferred[0].append(Input(USER_READ, obj="s_buf"))        # deferred input
     twin._deferred[1].append(Input(NOOP))
 

@@ -1,7 +1,10 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its API facts hold."""
 
+import dataclasses
 import pathlib
 import re
+
+from tpsim.kernel import RunOptions
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -14,3 +17,12 @@ def test_readme_python_example_runs(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "\n51072 []\n" in out         # 6 slices of 8192 and switches of 320, no failures
     assert "violations: 0" in out and "channel OPEN" in out
+
+
+def test_readme_names_exactly_the_fields_of_run_options():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    count, names = re.search(r"`RunOptions` has (\w+) fields: (.*?)\.", text).groups()
+    named = re.findall(r"`(\w+)`", names)
+    fields = [f.name for f in dataclasses.fields(RunOptions)]
+    assert named == fields
+    assert count == ["zero", "one", "two", "three", "four", "five", "six"][len(fields)]
