@@ -23,6 +23,7 @@ from tpsim.config import (
 )
 from tpsim.core import KERNEL_DOMAIN, ModelError, PolicyError, set_index_of
 from tpsim.kernel import (
+    RunError,
     RunOptions,
     StepRecord,
     SystemRunner,
@@ -101,22 +102,40 @@ BAD_INPUT_SCHEDULE = {0: [[Input(USER_READ, obj="no-such-object"),
                            Input(USER_READ, obj="s_buf")]]}
 
 
-def test_transitions_register_each_record_before_yielding_it(ref_cfg):
-    """A bare step only records its failures; the driver adds a record's
-    failures to runner.failures before it yields the record, and goes on."""
+def test_strict_mode_raises_and_collect_mode_records(ref_cfg):
+    """The run itself has one mode: it records every failure and goes on.
+    A bare step only records its failures; a strict consumer raises RunError
+    at the first failure it sees."""
     bare = SystemRunner(ref_cfg, seed=3)
     rec = bare.step(Input(USER_READ, obj="no-such-object"))
     assert [f.kind for f in rec.failures] == ["bad-input"]
     assert bare.failures == []
-    r = SystemRunner(ref_cfg, seed=3)
-    records = []
-    for rec in r.transitions(slices=2, schedule=BAD_INPUT_SCHEDULE):
-        assert r.failures == [f for seen in records + [rec] for f in seen.failures]
-        records.append(rec)
-    assert [str(f) for f in r.failures] == ["bad-input: unknown object 'no-such-object'"]
+    runner, records = _run(ref_cfg, seed=3, slices=2, schedule=BAD_INPUT_SCHEDULE)
+    assert [str(f) for f in runner.failures] == ["bad-input: unknown object 'no-such-object'"]
     # the run went on past the failure: the next input and both switches ran
     assert [r.kind for r in records] == ["user", "user", "switch", "switch"]
     assert records[1].failures == ()
+    with pytest.raises(RunError, match="bad-input") as raised:
+        if runner.failures:
+            raise RunError(runner.failures[0])
+    assert raised.value.failure is runner.failures[0]
+
+
+def test_strict_transitions_yield_the_failing_record_before_raising(ref_cfg):
+    """transitions() adds a record's failures to runner.failures before it
+    yields the record, so a strict consumer can raise at that record."""
+    r = SystemRunner(ref_cfg, seed=3)
+    steps = r.transitions(slices=2, schedule=BAD_INPUT_SCHEDULE)
+    records = []
+    with pytest.raises(RunError, match="unknown object 'no-such-object'"):
+        for rec in steps:
+            assert r.failures == [f for seen in records + [rec] for f in seen.failures]
+            records.append(rec)
+            if rec.failures:
+                raise RunError(rec.failures[0])
+    assert len(records) == 1
+    assert [f.kind for f in records[0].failures] == ["bad-input"]
+    assert [f.kind for f in r.failures] == ["bad-input"]
 
 
 def test_a_slice_that_overruns_its_tick_fails_the_next_switch(ref_cfg, monkeypatch):
