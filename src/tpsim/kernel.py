@@ -594,7 +594,7 @@ class SystemRunner:
 
 
 def _input_to_dict(inp: Input) -> dict[str, Any]:
-    """An input in the schema of scenario.inputs, so config reads it back."""
+    """An input in the schema of scenario.inputs; it loads back if its offset fits the object."""
     d = {"kind": inp.kind, "obj": inp.obj, "offset": inp.offset, "byte": inp.byte}
     if inp.vaddr is not None:
         d["vaddr"] = f"{inp.vaddr:#x}"

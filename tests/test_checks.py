@@ -154,7 +154,9 @@ def test_random_states_draw_the_reference_stream(request, ref_cfg, shape, replac
 
 
 def test_audit_flags_doctored_records(ref_cfg):
-    records = list(SystemRunner(ref_cfg, seed="audit").transitions(slices=2))
+    runner = SystemRunner(ref_cfg, seed="audit")
+    records = list(runner.transitions(slices=2))
+    assert runner.failures == []
     assert audit_records(ref_cfg, records) == []
     # clone a switch record with a clock moved off the deadline
     import dataclasses

@@ -44,10 +44,14 @@ from tpsim.microarch import (
 from tpsim.selector import select_trace
 
 
-def _run(cfg, seed, options=None, **kw):
-    """A whole run through transitions(): the runner after it, and its records."""
+def _run(cfg, seed, options=None, clean=True, **kw):
+    """A whole run through transitions(): the runner after it, and its records.
+    Unless `clean` is off, the run must have registered no failure."""
     runner = SystemRunner(cfg, seed, options)
-    return runner, list(runner.transitions(**kw))
+    records = list(runner.transitions(**kw))
+    if clean:
+        assert runner.failures == []
+    return runner, records
 
 
 def test_worst_case_cost_formula(ref_cfg):
@@ -103,22 +107,18 @@ BAD_INPUT_SCHEDULE = {0: [[Input(USER_READ, obj="no-such-object"),
 
 
 def test_strict_mode_raises_and_collect_mode_records(ref_cfg):
-    """The run itself has one mode: it records every failure and goes on.
-    A bare step only records its failures; a strict consumer raises RunError
-    at the first failure it sees."""
+    """Checks the one run mode: a run registers every failure and goes on,
+    while a bare step only records its failures in its own record."""
     bare = SystemRunner(ref_cfg, seed=3)
     rec = bare.step(Input(USER_READ, obj="no-such-object"))
     assert [f.kind for f in rec.failures] == ["bad-input"]
     assert bare.failures == []
-    runner, records = _run(ref_cfg, seed=3, slices=2, schedule=BAD_INPUT_SCHEDULE)
+    runner, records = _run(ref_cfg, seed=3, slices=2, schedule=BAD_INPUT_SCHEDULE,
+                           clean=False)
     assert [str(f) for f in runner.failures] == ["bad-input: unknown object 'no-such-object'"]
     # the run went on past the failure: the next input and both switches ran
     assert [r.kind for r in records] == ["user", "user", "switch", "switch"]
     assert records[1].failures == ()
-    with pytest.raises(RunError, match="bad-input") as raised:
-        if runner.failures:
-            raise RunError(runner.failures[0])
-    assert raised.value.failure is runner.failures[0]
 
 
 def test_strict_transitions_yield_the_failing_record_before_raising(ref_cfg):
@@ -147,7 +147,7 @@ def test_a_slice_that_overruns_its_tick_fails_the_next_switch(ref_cfg, monkeypat
         ref_cfg, policy=dataclasses.replace(ref_cfg.policy, slice_length=500)
     )
     schedule = {0: [[Input(SYS_READ, obj="s_buf")]]}
-    runner, records = _run(short, seed=22, slices=1, schedule=schedule)
+    runner, records = _run(short, seed=22, slices=1, schedule=schedule, clean=False)
     assert [r.kind for r in records] == ["kernel-call", "switch"]
     assert [f.kind for f in records[0].failures] == ["slot-overrun"]
     overrun = records[1].failures[0]
@@ -198,7 +198,6 @@ def test_run_rejects_a_rotation_out_of_turn(ref_cfg):
 
 def test_switch_mechanism_shape_and_postconditions(ref_cfg):
     runner, records = _run(ref_cfg, seed=7)
-    assert runner.failures == []
     switches = [rec for rec in records if rec.kind == "switch"]
     assert len(switches) == ref_cfg.scenario.slices
     L, D = ref_cfg.policy.slice_length, ref_cfg.policy.switch_deadline
@@ -221,14 +220,13 @@ def test_dirty_phase_runs_clean_at_the_deadline_load_derives(ref_cfg):
     config no longer loads; at the derived worst case every switch makes it."""
     dirty = dataclasses.replace(ref_cfg.policy, use_dirty_phase=True)
     cfg = dataclasses.replace(ref_cfg, policy=dirty)
-    missed, _ = _run(cfg, seed=8)
+    missed, _ = _run(cfg, seed=8, clean=False)
     assert {f.kind for f in missed.failures} == {"pad-violation", "switch-postcondition"}
     for mechanism in (HONEST_MECHANISM, PREFETCH_MECHANISM):
         deadline = worst_switch_cost(cfg, mechanism)
         fits = dataclasses.replace(cfg, policy=dataclasses.replace(dirty, switch_deadline=deadline))
-        runner, records = _run(fits, seed=8,
-                               options=RunOptions(mechanism=mechanism))
-        assert runner.failures == []
+        _, records = _run(fits, seed=8,
+                          options=RunOptions(mechanism=mechanism))
         assert [r.kind for r in records].count("switch") == ref_cfg.scenario.slices
 
 
@@ -238,7 +236,7 @@ def test_undersized_deadline_is_a_pad_violation(ref_cfg):
     squeezed = dataclasses.replace(
         ref_cfg, policy=dataclasses.replace(ref_cfg.policy, switch_deadline=8)
     )
-    runner, records = _run(squeezed, seed=8, slices=2)
+    runner, records = _run(squeezed, seed=8, slices=2, clean=False)
     assert any(f.kind == "pad-violation" for f in runner.failures)
     switches = [rec for rec in records if rec.kind == "switch"]
     assert len(switches) == 2
@@ -276,7 +274,7 @@ def test_run_that_ends_with_deferred_inputs_is_starved(ref_cfg):
     short = dataclasses.replace(
         ref_cfg, policy=dataclasses.replace(ref_cfg.policy, slice_length=500)
     )
-    runner, records = _run(short, seed=19)
+    runner, records = _run(short, seed=19, clean=False)
     assert {r.kind for r in records} == {"switch"} and runner.failures != []
     starved = [f for f in runner.failures if f.kind == "starved"]
     assert [f.detail.split(":")[0] for f in starved] == ["domain 0", "domain 1"]
@@ -284,9 +282,8 @@ def test_run_that_ends_with_deferred_inputs_is_starved(ref_cfg):
 
 
 def test_prefetch_mechanism_replaces_the_targeted_flush(ref_cfg):
-    runner, records = _run(ref_cfg, seed=9, slices=2,
-                           options=RunOptions(mechanism=PREFETCH_MECHANISM))
-    assert runner.failures == []
+    _, records = _run(ref_cfg, seed=9, slices=2,
+                      options=RunOptions(mechanism=PREFETCH_MECHANISM))
     walk = tuple(sorted(ref_cfg.policy.kernel_globals))
     for rec in records:
         if rec.kind != "switch":
@@ -302,7 +299,7 @@ def test_prefetch_mechanism_replaces_the_targeted_flush(ref_cfg):
 
 def test_mechanism_template_shapes_the_switch(ref_cfg):
     opts = RunOptions(mechanism=())
-    _, records = _run(ref_cfg, seed=10, slices=2, options=opts)
+    _, records = _run(ref_cfg, seed=10, slices=2, options=opts, clean=False)
     for rec in records:
         if rec.kind == "switch":
             assert rec.trace == ()
@@ -314,8 +311,7 @@ def test_deferral_preserves_program_order(ref_cfg):
     many = [Input(SYS_READ, obj="s_buf", offset=i) for i in range(6)]
     later = [Input(USER_READ, obj="s_probe", offset=99)]
     schedule = {0: [many, later], 1: [[Input(NOOP)], [Input(NOOP)]]}
-    runner, records = _run(ref_cfg, seed=11, slices=4, schedule=schedule)
-    assert runner.failures == []
+    _, records = _run(ref_cfg, seed=11, slices=4, schedule=schedule)
     d0 = [rec for rec in records if rec.kind != "switch" and rec.domain == 0]
     offsets = [rec.input.offset for rec in d0]
     assert offsets == [0, 1, 2, 3, 4, 5, 99]
@@ -360,9 +356,8 @@ def test_oracle_hook_and_runner_seeded_traces(ref_cfg):
         phases.append((slice_index, domain, phase))
         return NondetOracle(key=f"hook:{slice_index}:{domain}:{phase}")
 
-    runner, records = _run(ref_cfg, seed=14, slices=2,
-                           options=RunOptions(oracle_factory=factory))
-    assert runner.failures == []
+    _, records = _run(ref_cfg, seed=14, slices=2,
+                      options=RunOptions(oracle_factory=factory))
     kinds = {p[2] for p in phases}
     assert "old_clean" in kinds and "mechanism" in kinds
     assert any(p.startswith("step:") for p in kinds)
@@ -385,9 +380,9 @@ def test_oracle_hook_and_runner_seeded_traces(ref_cfg):
 
 
 def test_default_scenario_runs_clean_and_serializes(ref_cfg):
-    runner, records = _run(ref_cfg, seed=15)
+    _, records = _run(ref_cfg, seed=15)
     kinds = [rec.kind for rec in records]
-    assert runner.failures == [] and kinds.count("switch") == 6 and len(kinds) > 6
+    assert kinds.count("switch") == 6 and len(kinds) > 6
     for rec in records:
         d = record_to_dict(rec)
         json.dumps(d)   # must be JSON-clean
