@@ -339,70 +339,69 @@ class ConfidentialityReport:
 _CLIP = 160
 
 
-def _run_once(cfg: RunConfig, options: RunOptions, trial_key: str, tag: str,
-              observer: int):
-    """One run of a trial pair.  Returns the observer's view after every
-    transition, the failure that aborted the run (or None), and the run's
-    first three hypothesis breaches."""
-    views: list[tuple[tuple[str, int, int], ObserverView]] = []
-    hypothesis: list[str] = []
-    # Both runs take the trial key as their seed, so their trace seeds agree;
-    # the oracle factory shares the observer's and the mechanism's words only.
-    opts = replace(options, oracle_factory=_pair_oracle_factory(trial_key, observer, tag))
-    runner = SystemRunner(cfg, trial_key, opts)
-    for record in runner.transitions(schedule=build_schedule(cfg, observer, trial_key, tag)):
-        for f in record.failures:
-            hypothesis.append(f"{record.kind} slice {record.slice_index}: {f}")
-        if record.kind == "switch":
-            shapes = tuple(type(op) for op in record.trace)
-            if shapes != HONEST_MECHANISM:
-                hypothesis.append(
-                    f"switch slice {record.slice_index}: mechanism trace is "
-                    f"{[t.__name__ for t in shapes]}, not the exact flush/flush/pad sequence"
-                )
-        views.append((
-            (record.kind, record.slice_index, record.domain),
-            observer_view(runner.abstract, runner.micro, observer,
-                          runner.policy, runner.g),
-        ))
-        if runner.failures:
-            break
-    return views, next(iter(runner.failures), None), hypothesis[:3]
-
-
 def _trial(cfg: RunConfig, options: RunOptions, observer: int, include_micro: bool,
            seed: object, trial: int):
-    """One trial pair.  Returns its hypothesis notes, the failure that aborted
-    it (or None), the number of transitions compared and the first violation
-    (or None)."""
+    """One trial pair, its two runs in lockstep: each step draws the next
+    record of run A, then of run B, and compares the observer's two views, so
+    the trial stops at the first difference.  Returns its hypothesis notes,
+    the failure that aborted it (or None), the number of transitions compared
+    and the first violation (or None)."""
     trial_key = f"{seed}:t{trial}"
-    sides, notes = [], []
+    runs = []
     for tag in ("A", "B"):
-        views, abort, hypothesis = _run_once(cfg, options, trial_key, tag, observer)
-        if abort is not None:
-            notes.append(f"trial {trial} run {tag} aborted: {abort}")
-        notes.extend(f"trial {trial} run {tag}: {h}" for h in hypothesis)
-        if abort is not None:
-            return notes, abort, 0, None
-        sides.append(views)
+        # Both runs take the trial key as their seed, so their trace seeds agree;
+        # the oracle factory shares the observer's and the mechanism's words only.
+        opts = replace(options, oracle_factory=_pair_oracle_factory(trial_key, observer, tag))
+        runner = SystemRunner(cfg, trial_key, opts)
+        records = runner.transitions(schedule=build_schedule(cfg, observer, trial_key, tag))
+        runs.append((tag, runner, records, []))
 
-    va, vb = sides
-    if len(va) != len(vb):
-        return notes, None, 0, Violation(
-            trial=trial, transition=min(len(va), len(vb)), kind="run",
-            slice_index=-1, domain=-1, field="transition-count",
-            a=str(len(va)), b=str(len(vb)),
-        )
-    for i, ((ctx, view_a), (_, view_b)) in enumerate(zip(va, vb)):
-        diff = _diff_views(view_a, view_b, include_micro)
+    def notes(upto: int = 2) -> list[str]:
+        # Each run's abort line, then its first three notes; B's are left out when A aborts.
+        out = []
+        for tag, runner, _, hypothesis in runs[:upto]:
+            if runner.failures:
+                out.append(f"trial {trial} run {tag} aborted: {runner.failures[0]}")
+            out.extend(f"trial {trial} run {tag}: {h}" for h in hypothesis[:3])
+        return out
+
+    lengths = [0, 0]
+    while True:
+        pair = []
+        for k, (tag, runner, records, hypothesis) in enumerate(runs):
+            record = next(records, None)
+            if record is not None:
+                lengths[k] += 1
+                hypothesis.extend(f"{record.kind} slice {record.slice_index}: {f}"
+                                  for f in record.failures)
+                if record.kind == "switch" and tuple(map(type, record.trace)) != HONEST_MECHANISM:
+                    hypothesis.append(
+                        f"switch slice {record.slice_index}: mechanism trace is "
+                        f"{[type(op).__name__ for op in record.trace]}, "
+                        "not the exact flush/flush/pad sequence")
+            # A failure after a record aborts the trial, and so does the
+            # starved that transitions() adds once a run's records end.
+            if runner.failures:
+                return notes(k + 1), runner.failures[0], min(lengths), None
+            pair.append(record)
+        if None in pair:
+            if pair == [None, None]:
+                break
+            continue        # one run has ended: drain the other to count its records
+        diff = _diff_views(*(observer_view(r.abstract, r.micro, observer, r.policy, r.g)
+                             for _, r, _, _ in runs), include_micro)
         if diff is not None:
-            name, a, b = diff
-            return notes, None, i + 1, Violation(
-                trial=trial, transition=i, kind=ctx[0],
-                slice_index=ctx[1], domain=ctx[2], field=name,
-                a=repr(a)[:_CLIP], b=repr(b)[:_CLIP],
+            ctx = pair[0]
+            return notes(), None, lengths[0], Violation(
+                trial=trial, transition=lengths[0] - 1, kind=ctx.kind,
+                slice_index=ctx.slice_index, domain=ctx.domain, field=diff[0],
+                a=repr(diff[1])[:_CLIP], b=repr(diff[2])[:_CLIP],
             )
-    return notes, None, len(va), None
+    violation = None if lengths[0] == lengths[1] else Violation(
+        trial=trial, transition=min(lengths), kind="run", slice_index=-1, domain=-1,
+        field="transition-count", a=str(lengths[0]), b=str(lengths[1]),
+    )
+    return notes(), None, min(lengths), violation
 
 
 def check_confidentiality(
