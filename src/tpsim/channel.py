@@ -13,8 +13,9 @@ association), recompute MI, and repeat; the mean is M0 and the 2.5th/97.5th
 percentiles give a 95% interval.  A channel counts as closed when M sits
 within that interval.
 
-Every sample is a three-slice run (prime, symbol, probe) per symbol; the two
-runs share the prime slice, so it runs once and the runner forks after it.
+Every sample is a run of prime, symbol and probe slices per symbol, with any
+other domains idle between the symbol and the probe; the two runs share the
+prime slice, so it runs once and the runner forks after it.
 All nondeterminism for sample i is keyed on (seed, i) and never on the
 symbol, so a protection mode that actually removes the medium produces
 bit-identical probe latencies for both symbols and therefore exactly zero
@@ -290,10 +291,12 @@ def _probe_pair(cfg: RunConfig, options: RunOptions, seed: object, index: int,
     """Probe latencies of one sample, for symbol 0 and for symbol 1.
 
     Both symbols share the prime slice and the switch after it, so that part
-    runs once and each symbol goes on in its own fork.  A fork stops at the
+    runs once and each symbol goes on in its own fork.  The probe is in the
+    spy's next slice; any other domains idle in between.  A fork stops at the
     probe step: the switch after it feeds no measurement.  Any failure aborts.
     """
     spy, trojan = cfg.policy.domain_ids()[:2]
+    probe_slice = len(cfg.policy.domains)
     spy_batches = [[Input(kind=USER_READ, obj=prime_obj)], [Input(kind=SYS_READ, obj=probe_obj)]]
     # Seeded by the sample, never by the symbol: the symbol-0 and symbol-1
     # runs of one sample draw identical oracle words and trace seeds.
@@ -304,8 +307,8 @@ def _probe_pair(cfg: RunConfig, options: RunOptions, seed: object, index: int,
     for signal in (Input(kind=NOOP), Input(kind=SYS_READ, obj=trojan_obj)):
         twin = runner.fork()
         schedule = {spy: spy_batches, trojan: [[signal]]}
-        probe = next(r for r in twin.transitions(slices=3, schedule=schedule)
-                     if r.slice_index == 2 and r.kind != "switch")
+        probe = next(r for r in twin.transitions(slices=probe_slice + 1, schedule=schedule)
+                     if r.slice_index == probe_slice and r.kind != "switch")
         twin.finish()
         if twin.failures:
             raise RunError(twin.failures[0])

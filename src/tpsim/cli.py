@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("attack", help="prime-and-probe capacity measurement")
     _add_common(c)
-    c.add_argument("--protection", choices=PROTECTIONS, default="on")
+    c.add_argument("--protection", choices=PROTECTIONS, default="on",
+                   help="protection mode; targeted-flush runs the same kernel as on")
     c.add_argument("--samples", type=positive_int, default=None,
                    help="samples per symbol (default: analysis.samples_per_symbol)")
     c.add_argument("--out-csv", default=None,

@@ -123,20 +123,6 @@ def _diff_views(a: ObserverView, b: ObserverView,
     return None
 
 
-def low_equiv(s1: AbstractState, s2: AbstractState,
-              s_mu1: MicroArchState, s_mu2: MicroArchState,
-              observer: int, policy: DomainPolicy, g: CacheGeometry,
-              include_micro: bool = True) -> tuple[bool, str | None]:
-    """Observer equivalence of two state pairs; names the first odd field out.
-
-    The observer's role follows from who is current in each abstract state.
-    """
-    va = observer_view(s1, s_mu1, observer, policy, g)
-    vb = observer_view(s2, s_mu2, observer, policy, g)
-    diff = _diff_views(va, vb, include_micro)
-    return (diff is None, None if diff is None else diff[0])
-
-
 # --- schedule construction ------------------------------------------------------
 
 _KIND_CHOICES = (
@@ -232,7 +218,7 @@ def apply_mutation(cfg: RunConfig, options: RunOptions, mutation: str | None,
         drop = _MECHANISM_DROPS[mutation]
         return cfg, replace(options, mechanism=tuple(c for c in options.mechanism if c is not drop))
     if mutation == "ta-leak":
-        return cfg, replace(options, ta_leak=True)
+        return cfg, replace(options, ta_leak=observer)
     if mutation == "selector-peek":
         return cfg, replace(options, selector_peek=True)
     if mutation == "bad-colouring":

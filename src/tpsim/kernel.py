@@ -180,13 +180,14 @@ class RunOptions:
 
     mechanism is the switch template; the mutation harness and the attack
     variants edit it, and the default gives the honest kernel.
+    ta_leak names the domain that the ta-leak mutation leaks into, or is None.
     oracle_factory replaces the oracle of a (slice, domain, phase); by
     default every oracle and trace seed is keyed on the runner's seed.
     """
 
     mechanism: tuple[type, ...] = HONEST_MECHANISM
     selector_peek: bool = False
-    ta_leak: bool = False
+    ta_leak: Optional[int] = None
     oracle_factory: Optional[Callable[[int, int, str], NondetOracle]] = None
 
 
@@ -342,15 +343,15 @@ class SystemRunner:
             failures.append(f)
         elif write:
             obj.payload[offset] = input.byte & 0xFF
-            if self.options.ta_leak:
-                self._leak_byte(domain, input.byte & 0xFF)
+            if self.options.ta_leak not in (None, domain):
+                self._leak_byte(input.byte & 0xFF)
         return failures, footprint
 
-    def _leak_byte(self, domain: int, byte: int) -> None:
-        # Deliberate confidentiality bug: copy a byte written by one domain
-        # into the first object owned by some other domain, without tracking.
+    def _leak_byte(self, byte: int) -> None:
+        # Deliberate confidentiality bug: copy a byte written by another domain
+        # into the first object owned by the receiving domain, without tracking.
         for o in sorted(self.abstract.objects.values(), key=lambda o: o.ident):
-            if o.owner != domain:
+            if o.owner == self.options.ta_leak:
                 o.payload[0] = byte
                 return
 

@@ -14,6 +14,13 @@ def ref_cfg():
 
 
 @pytest.fixture(scope="session")
+def three_cfg():
+    """Three domains on an 8-colour cache; domain 2 sits between the trojan
+    and the spy's next slice."""
+    return load_config(CONFIG_DIR / "three-domain.yaml")
+
+
+@pytest.fixture(scope="session")
 def adv_cfg():
     return load_config(CONFIG_DIR / "adversarial.yaml")
 

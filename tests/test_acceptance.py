@@ -289,7 +289,7 @@ def test_criterion_9_touched_set_fuzz(capsys, ref_cfg):
             if rec.input is None or rec.input.kind != "raw_access":
                 continue
             raw_accesses += 1
-            v = rec.input.vaddr or 0
+            v = rec.input.vaddr
             tracked = (v - v % ref_cfg.amap.page_size) in rec.ta_before
             flagged = any(f.kind == "ta-violation" for f in rec.failures)
             if not (tracked or flagged):

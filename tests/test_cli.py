@@ -47,6 +47,19 @@ def test_confidentiality_honest_and_mutated(capsys, config_dir):
     assert "first witness" in out and "micro.clock" in out
 
 
+@pytest.mark.parametrize("argv", [
+    *(("attack", "--protection", m) for m in ("on", "off", "prefetch", "targeted-flush")),
+    ("prefetch-experiment",),
+], ids=lambda argv: " ".join(argv))
+def test_capacity_runs_on_three_domains(capsys, config_dir, argv):
+    """The spy probes in its next slice, after the third domain's."""
+    code, out, _ = run_cli(capsys, argv[0], str(config_dir / "three-domain.yaml"), *argv[1:],
+                           "--samples", "20", "--seed", "1", "--no-timestamp")
+    assert code == 0, out
+    if argv[1:] == ("--protection", "on"):
+        assert "M_bits=0.0\n" in out
+
+
 def test_unsatisfied_hypothesis_is_exit_1(capsys, tmp_path, config_dir):
     """No violation found is no pass when the hypothesis does not hold."""
     cfgp = str(config_dir / "reference.yaml")

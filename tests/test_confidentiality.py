@@ -2,16 +2,16 @@
 
 import dataclasses
 import multiprocessing
-import random
 
 import pytest
 
+from tpsim import confidentiality
 from tpsim.confidentiality import (
     MUTATIONS,
+    _diff_views,
     apply_mutation,
     build_schedule,
     check_confidentiality,
-    low_equiv,
     observer_view,
 )
 from tpsim.core import ConfigError
@@ -62,6 +62,36 @@ def test_each_mutation_is_caught(ref_cfg, mutation):
     assert any(w.field.startswith(p) for p in WITNESS_FIELD[mutation]), \
         f"{mutation} first diverged at {w.field}"
     assert mutation in rep.format()
+
+
+def test_a_trial_stops_at_its_first_divergence(ref_cfg, monkeypatch):
+    """The two runs advance in lockstep: the witness at transition 6 of trial
+    0 takes seven pairs of views, not the 38 of both whole runs."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return observer_view(*args)
+
+    monkeypatch.setattr(confidentiality, "observer_view", counted)
+    rep = check_confidentiality(ref_cfg, 0, 200, 1, mutation="no-oncore-flush")
+    w = rep.first_witness
+    assert (w.trial, w.transition, w.field) == (0, 6, "micro.flushable")
+    assert rep.transitions == 7 and len(calls) == 14
+
+
+def test_honest_three_domain_system_is_clean_for_every_observer(three_cfg):
+    for observer in three_cfg.policy.domain_ids():
+        rep = check_confidentiality(three_cfg, observer, 50, 1)
+        assert rep.violations == [] and rep.hypothesis_ok, rep.format()
+        assert rep.transitions >= 50 * three_cfg.scenario.slices
+
+
+def test_ta_leak_reaches_a_third_domain(three_cfg):
+    """The leak is aimed at the observer, so domain 2 sees writes by 0 and 1."""
+    rep = check_confidentiality(three_cfg, 2, 200, 1, mutation="ta-leak")
+    assert rep.violations, rep.format()
+    assert rep.first_witness.field == "objects[u_buf].payload"
 
 
 def test_abstract_leak_is_visible_to_the_u_variant(ref_cfg):
@@ -136,14 +166,19 @@ def test_schedule_pairing_rule(ref_cfg):
 
 def test_low_equiv_and_observer_view(ref_cfg):
     g = ref_cfg.geometry
-    rng = random.Random("le")
     r1 = SystemRunner(ref_cfg, seed="le1")
     r2 = SystemRunner(ref_cfg, seed="le1")
     for r in (r1, r2):
         r.step(Input(USER_WRITE, obj="s_buf", offset=3, byte=7))
-    ok, diff = low_equiv(r1.abstract, r2.abstract, r1.micro, r2.micro,
-                         0, ref_cfg.policy, g)
-    assert ok and diff is None
+
+    def diff(mu2, observer):
+        """The first field in which the observer's two views differ, or None."""
+        views = (observer_view(r1.abstract, r1.micro, observer, ref_cfg.policy, g),
+                 observer_view(r2.abstract, mu2, observer, ref_cfg.policy, g))
+        found = _diff_views(*views, include_micro=True)
+        return None if found is None else found[0]
+
+    assert diff(r2.micro, 0) is None
 
     # hidden-set perturbation is invisible to the executing observer
     lines = sorted(
@@ -152,20 +187,14 @@ def test_low_equiv_and_observer_view(ref_cfg):
         for off in range(0, g.page_size, g.line_size)
     )
     mu2 = perturb_invisible(r2.micro, 0, ref_cfg.policy, g, lines, seed=9)
-    ok, _ = low_equiv(r1.abstract, r2.abstract, r1.micro, mu2,
-                      0, ref_cfg.policy, g)
-    assert ok
+    assert diff(mu2, 0) is None
 
     # the same two micro states differ for observer 1, whose sets they are
-    ok, diff = low_equiv(r1.abstract, r2.abstract, r1.micro, mu2,
-                         1, ref_cfg.policy, g)
-    assert not ok and diff.startswith("micro.sets")
+    assert diff(mu2, 1).startswith("micro.sets")
 
     # abstract difference: payload byte
     r2.abstract.objects["s_buf"].payload[3] = 99
-    ok, diff = low_equiv(r1.abstract, r2.abstract, r1.micro, r2.micro,
-                         0, ref_cfg.policy, g)
-    assert not ok and diff == "objects[s_buf].payload"
+    assert diff(r2.micro, 0) == "objects[s_buf].payload"
 
     v = observer_view(r1.abstract, r1.micro, 0, ref_cfg.policy, g)
     assert v.role == "executing" and v.ta == frozenset({0x10000, 0x10400})

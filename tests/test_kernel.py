@@ -327,7 +327,7 @@ def test_deferral_preserves_program_order(ref_cfg):
 
 
 def test_ta_leak_copies_a_byte_across_domains(ref_cfg):
-    r = SystemRunner(ref_cfg, seed=12, options=RunOptions(ta_leak=True))
+    r = SystemRunner(ref_cfg, seed=12, options=RunOptions(ta_leak=1))
     r.step(Input(USER_WRITE, obj="s_buf", offset=0, byte=0xAB))
     assert r.abstract.objects["t_gbuf"].payload.get(0) == 0xAB
     honest = SystemRunner(ref_cfg, seed=12)
