@@ -80,6 +80,26 @@ def test_a_trial_stops_at_its_first_divergence(ref_cfg, monkeypatch):
     assert rep.transitions == 7 and len(calls) == 14
 
 
+def test_a_run_that_outlasts_its_pair_is_a_transition_count_violation(ref_cfg, monkeypatch):
+    """Run A ends first, so run B is drained to count its records."""
+    honest = check_confidentiality(ref_cfg, 0, 1, 1)
+    transitions, started = SystemRunner.transitions, []
+
+    def b_yields_its_last_record_twice(self, *args, **kwargs):
+        started.append(self)
+        for record in transitions(self, *args, **kwargs):
+            yield record
+        if self is not started[0]:
+            yield record
+
+    monkeypatch.setattr(SystemRunner, "transitions", b_yields_its_last_record_twice)
+    rep = check_confidentiality(ref_cfg, 0, 1, 1)
+    n = honest.transitions
+    w = rep.first_witness
+    assert (w.transition, w.kind, w.field, w.a, w.b) == (n, "run", "transition-count", str(n), str(n + 1))
+    assert rep.transitions == n and rep.hypothesis_ok
+
+
 def test_honest_three_domain_system_is_clean_for_every_observer(three_cfg):
     for observer in three_cfg.policy.domain_ids():
         rep = check_confidentiality(three_cfg, observer, 50, 1)
