@@ -31,14 +31,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .config import NOOP, PREFETCH_MECHANISM, SYS_READ, USER_READ, Input, RunConfig
+from .config import NOOP, PREFETCH_MECHANISM, PROTECTIONS, SYS_READ, USER_READ, Input, RunConfig
 from .core import ConfigError, fan_out, pool_size
 from .kernel import RunError, RunOptions, SystemRunner
 
 if TYPE_CHECKING:
     import numpy as np
-
-PROTECTIONS = ("on", "off", "prefetch", "targeted-flush")
 
 
 # --- channel matrix ---------------------------------------------------------------

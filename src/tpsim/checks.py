@@ -21,7 +21,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator
 
-from .config import INPUT_KINDS, KERNEL_CALLS, NOOP, RAW_ACCESS, SYS_ALLOC, Input, RunConfig
+from .config import (INPUT_KINDS, KERNEL_CALLS, NOOP, RAW_ACCESS, SUITES, SYS_ALLOC, Input,
+                     RunConfig)
 from .core import (
     KERNEL_VBASE,
     ConfigError,
@@ -49,8 +50,6 @@ from .microarch import (
 )
 from .selector import (PoolPlan, draw_ways, perturb_invisible, pool_plans, select_trace,
                        select_trace_peeking)
-
-SUITES = ("properties", "invariants", "all")
 
 
 @dataclass

@@ -7,6 +7,9 @@ be dropped with --no-timestamp for golden-file comparisons.
 Exit status: 0 on success, 1 when a property violation or failure was found
 (for confidentiality, also when its hypothesis was not satisfied), 2 for
 usage or configuration errors.
+
+Each command imports the modules that run it when it starts, so a command
+loads only what it runs.
 """
 
 from __future__ import annotations
@@ -17,15 +20,7 @@ import errno
 import os
 import sys
 
-from .channel import (
-    PROTECTIONS,
-    measure_channel,
-    prefetch_experiment,
-    write_matrix_csv,
-)
-from .checks import SUITES, run_suite
-from .config import RunConfig, load_config, validate_config
-from .confidentiality import MUTATIONS, check_confidentiality
+from .config import MUTATIONS, PROTECTIONS, SUITES, RunConfig, load_config, validate_config
 from .core import ConfigError, ModelError
 
 
@@ -102,6 +97,7 @@ def _header(args: argparse.Namespace) -> None:
 
 
 def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .checks import run_suite
     print(f"property check, suite={args.suite}, trials={args.trials}, seed={args.seed}")
     results = run_suite(cfg, args.suite, args.trials, args.seed, jobs=args.jobs)
     for r in results:
@@ -112,6 +108,7 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_confidentiality(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .confidentiality import check_confidentiality
     observer = args.observer
     if observer is None:
         observer = cfg.policy.domain_ids()[0]
@@ -136,6 +133,7 @@ def _check_writable(path: str) -> None:
 
 
 def cmd_attack(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .channel import measure_channel, write_matrix_csv
     if args.out_csv:
         _check_writable(args.out_csv)
     report = measure_channel(
@@ -150,6 +148,7 @@ def cmd_attack(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_prefetch(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .channel import prefetch_experiment
     report = prefetch_experiment(
         cfg, args.seed, samples_per_symbol=args.samples, jobs=args.jobs,
     )

@@ -29,8 +29,8 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 
-from .config import (HONEST_MECHANISM, NOOP, SYS_ALLOC, SYS_READ, SYS_WRITE, USER_READ,
-                     USER_WRITE, Input, RunConfig)
+from .config import (HONEST_MECHANISM, MUTATIONS, NOOP, SYS_ALLOC, SYS_READ, SYS_WRITE,
+                     USER_READ, USER_WRITE, Input, RunConfig)
 from .core import (
     CacheGeometry,
     ConfigError,
@@ -50,15 +50,6 @@ from .microarch import (
     PadTo,
     VisibleProjection,
     visible_projection,
-)
-
-MUTATIONS = (
-    "no-oncore-flush",
-    "no-offcore-global-flush",
-    "no-pad",
-    "bad-colouring",
-    "ta-leak",
-    "selector-peek",
 )
 
 

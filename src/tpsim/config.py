@@ -46,6 +46,13 @@ INPUT_KINDS = (USER_READ, USER_WRITE, SYS_READ, SYS_WRITE, SYS_ALLOC, NOOP, RAW_
 HONEST_MECHANISM = (OffCoreFlush, OnCoreFlush, PadTo)
 PREFETCH_MECHANISM = (Read, OnCoreFlush, PadTo)
 
+# The choices of the command line, kept here so that building its parser
+# loads none of the modules that run them.
+PROTECTIONS = ("on", "off", "prefetch", "targeted-flush")
+SUITES = ("properties", "invariants", "all")
+MUTATIONS = ("no-oncore-flush", "no-offcore-global-flush", "no-pad", "bad-colouring",
+             "ta-leak", "selector-peek")
+
 
 @dataclass(frozen=True)
 class Input:
@@ -175,7 +182,8 @@ def _as_addr_list(value: Any, where: str) -> list[int]:
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        # libyaml's loader where PyYAML has it: the same documents, parsed in C.
+        raw = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as e:

@@ -17,7 +17,6 @@ independent units of work (samples, checks, trials) over processes.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -364,6 +363,7 @@ def fan_out(fn: Callable, shared: tuple, items: Sequence, jobs: int) -> Iterator
         for item in items:
             yield fn(*shared, item)
         return
+    import multiprocessing    # here, not at the top: most runs start no pool
     pool = multiprocessing.Pool(workers, _init_worker, (fn, shared))
     try:
         yield from pool.imap(_run_item, items, chunksize=1)

@@ -497,11 +497,11 @@ def apply_trace(state: MicroArchState, trace: Trace, oracle: NondetOracle,
                 g: CacheGeometry, cm: CostModel, policy: DomainPolicy) -> MicroArchState:
     """Left fold of apply_op; the first failing operation aborts the trace.
 
-    Reads and writes update a private working copy: the flushable words, the
-    touched sets as mutable [ways, meta] pairs, and the clock.  One state is
-    built at the end.  The other operations go through apply_op itself.
-    apply_op stays the reference semantics, and the fold must agree with it
-    on the result, the oracle words drawn and any error raised.
+    Every operation updates a private working copy: the flushable words, the
+    touched and flushed sets as mutable [ways, meta] pairs, and the clock.
+    One state is built at the end.  apply_op stays the reference semantics,
+    and the fold must agree with it on the result, the oracle words drawn
+    and any error raised.
     """
     if not trace:
         return state
@@ -525,8 +525,33 @@ def apply_trace(state: MicroArchState, trace: Trace, oracle: NondetOracle,
             op = trace[i]
             cls = op.__class__
             if cls is not Read and cls is not Write:
-                nxt = apply_op(_freeze(base, work, words, packed, clock), op, oracle, g, cm, policy)
-                words, packed, base, work, clock = nxt.flushable, None, nxt.sets, {}, nxt.clock
+                if cls is OffCoreFlush:
+                    # offcore_flush_cost, on the working copy
+                    indices = {set_index_of(t, g) for t in op.targets}
+                    entries = 0
+                    for idx in indices:
+                        ways = work[idx][0] if idx in work else base[idx].ways
+                        entries += len(ways) - ways.count(None)
+                    clock += (cm.offcore_flush_base + entries * cm.writeback_cost
+                              + oracle.next_word() % jitter_mod)
+                    for idx in indices:
+                        work[idx] = [[None] * num_ways, META_RESET]
+                elif cls is OnCoreFlush:
+                    if packed is not None:
+                        words, packed = _unpack(packed, n_words), None
+                    # oncore_flush_cost, on the working copy
+                    acc = 0
+                    for w in words:
+                        acc = (acc * 31 + w) & _WORD_MASK
+                    clock += (cm.oncore_flush_base + acc % cm.oncore_flush_spread
+                              + oracle.next_word() % jitter_mod)
+                    words = flushable_reset(n_words)
+                elif cls is PadTo:
+                    if op.t < clock:
+                        raise PadViolation(clock, op.t)
+                    clock = op.t
+                else:
+                    raise TypeError(f"unknown trace operation {op!r}")
                 i += 1
                 continue
 
@@ -585,7 +610,8 @@ def apply_trace(state: MicroArchState, trace: Trace, oracle: NondetOracle,
             if i < j:
                 oracle.next_word()    # the word list ran out: raises at operation i
     except ModelError as e:
-        # No operation changes the working copy before it has drawn its words.
+        # No operation changes the working copy before it has drawn its words
+        # and passed its checks.
         raise TraceError(i, e, _freeze(base, work, words, packed, clock)) from e
     return _freeze(base, work, words, packed, clock)
 

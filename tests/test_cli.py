@@ -166,7 +166,7 @@ def test_attack_checks_the_csv_path_before_measuring(capsys, tmp_path, config_di
                                                      monkeypatch, where):
     """A CSV path that cannot be written is exit 2 before any sample runs."""
     calls = []
-    monkeypatch.setattr("tpsim.cli.measure_channel", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr("tpsim.channel.measure_channel", lambda *a, **k: calls.append(a))
     target = tmp_path / "no-such-dir" / "m.csv" if where == "missing-dir" else tmp_path
     code, out, err = run_cli(capsys, "attack", str(config_dir / "reference.yaml"),
                              "--out-csv", str(target), "--no-timestamp")

@@ -301,3 +301,34 @@ def test_load_config_io_errors(tmp_path):
     top.write_text("- just\n- a list\n")
     with pytest.raises(ConfigError, match="top level"):
         load_config(top)
+
+
+@pytest.mark.parametrize("name", ["reference.yaml", "adversarial.yaml", "three-domain.yaml"])
+def test_libyaml_and_pure_python_loaders_give_equal_configs(config_dir, monkeypatch, name):
+    """load_config parses with libyaml's CSafeLoader where PyYAML has it, and
+    the result is the one PyYAML's own SafeLoader gives."""
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("this PyYAML is built without libyaml")
+    used = []
+
+    class Spy(yaml.CSafeLoader):
+        def __init__(self, stream):
+            used.append(name)
+            super().__init__(stream)
+
+    monkeypatch.setattr(yaml, "CSafeLoader", Spy)
+    fast = load_config(config_dir / name)
+    assert used == [name]
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    assert load_config(config_dir / name) == fast
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["as-is", "no-libyaml"])
+def test_malformed_yaml_is_exit_2_with_either_loader(tmp_path, capsys, monkeypatch, libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("spec_version: [unclosed\n")
+    assert main(["check", str(bad), "--trials", "1", "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: config is not valid YAML")
