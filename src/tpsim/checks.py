@@ -10,9 +10,8 @@ exactly on the slice of state an operation is allowed to depend on, hand both
 the same nondeterminism, and require identical costs (and, where it applies,
 identical effects on that slice).
 
-Random states are drawn from a plan built once per config, by getrandbits
-alone but word for word the stream of Random.randint, sample and shuffle: a
-seed gives the states those calls would.
+Random states are drawn from a plan built once per config, each from one
+getrandbits through selector.draw_sets, which documents their distribution.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .core import (
 )
 from .kernel import Failure, StepRecord, SystemRunner, partition_subset_invariant
 from .microarch import (
-    CacheSet,
     MicroArchState,
     NondetOracle,
     OffCoreFlush,
@@ -48,8 +46,8 @@ from .microarch import (
     flushable_reset,
     visible_projection,
 )
-from .selector import (PoolPlan, draw_ways, perturb_invisible, pool_plans, select_trace,
-                       select_trace_peeking)
+from .selector import (SetDraw, draw_sets, perturb_invisible, select_trace, select_trace_peeking,
+                       set_draw)
 
 
 @dataclass
@@ -74,31 +72,23 @@ class CheckResult:
 
 # --- random state construction ---------------------------------------------------
 
-def _state_plan(cfg: RunConfig) -> list[PoolPlan]:
-    """What _random_state draws from: each set's pool_plans entry, in order."""
+def _state_plan(cfg: RunConfig) -> SetDraw:
+    """What _random_state draws from: the SetDraw of every set, in order."""
     g = cfg.geometry
-    return list(pool_plans(universe_lines(cfg.universe_pages, g), g, range(g.num_sets)).values())
+    return set_draw(universe_lines(cfg.universe_pages, g), g, range(g.num_sets),
+                    cfg.cost_model.max_level, cfg.policy.replacement)
 
 
-def _random_sets(rng: random.Random, cfg: RunConfig, plan: list[PoolPlan]) -> tuple[CacheSet, ...]:
-    nways, level = cfg.geometry.num_ways, cfg.cost_model.max_level
-    bits = 64 if cfg.policy.replacement == "adversarial" else max(nways - 1, 1)
-    return tuple(CacheSet(draw_ways(rng, tags, widths, nways, level, shuffle=True),
-                          rng.getrandbits(bits)) for tags, widths in plan)
+def _random_state(rng: random.Random, cfg: RunConfig, plan: SetDraw) -> MicroArchState:
+    words = cfg.cost_model.flushable_words
+    sets, tail = draw_sets(rng, plan, f"{words}QI")
+    return MicroArchState(flushable=tail[:words], sets=tuple(sets), clock=tail[words] & 0xFFFFF)
 
 
-def _random_state(rng: random.Random, cfg: RunConfig, plan: list[PoolPlan]) -> MicroArchState:
-    sets = _random_sets(rng, cfg, plan)
-    flushable = tuple(rng.getrandbits(64) for _ in range(cfg.cost_model.flushable_words))
-    while (clock := rng.getrandbits(21)) >> 20:     # rng.randrange(1 << 20)
-        pass
-    return MicroArchState(flushable=flushable, sets=sets, clock=clock)
-
-
-def _reroll_set(rng: random.Random, cfg: RunConfig, plan: list[PoolPlan],
-                state: MicroArchState, j: int) -> MicroArchState:
+def _reroll_set(rng: random.Random, plan: SetDraw, state: MicroArchState, j: int) -> MicroArchState:
     """state with cache set j replaced by a fresh random set."""
-    return state._replace(sets=state.sets[:j] + _random_sets(rng, cfg, plan[j:j + 1]) + state.sets[j + 1:])
+    fresh, _ = draw_sets(rng, plan._replace(pools=plan.pools[j:j + 1]))
+    return state._replace(sets=state.sets[:j] + tuple(fresh) + state.sets[j + 1:])
 
 
 # --- cost locality ---------------------------------------------------------------
@@ -142,8 +132,7 @@ def check_access_cost_locality(cfg: RunConfig, trials: int, seed: object) -> Che
         s1 = _random_state(rng, cfg, plan)
         p = rng.choice(lines)
         idx = set_index_of(p, g)
-        others = [i for i in range(g.num_sets) if i != idx and plan[i][0]]
-        s2 = _reroll_set(rng, cfg, plan, s1, rng.choice(others))
+        s2 = _reroll_set(rng, plan, s1, rng.choice([i for i in range(g.num_sets) if i != idx]))
         op = Read(rng.getrandbits(32), p) if rng.random() < 0.75 else Write(rng.getrandbits(32), p)
         bad, _ = _paired_apply(cfg, s1, s2, op, f"{seed}:al:{t}",
                                sets={idx}, flushable=True)
@@ -164,8 +153,9 @@ def check_offcore_flush_locality(cfg: RunConfig, trials: int, seed: object) -> C
         s1 = _random_state(rng, cfg, plan)
         targets = frozenset(rng.sample(lines, rng.randint(1, 3)))
         indices = {set_index_of(a, g) for a in targets}
-        others = [i for i in range(g.num_sets) if i not in indices and plan[i][0]]
-        s2 = _reroll_set(rng, cfg, plan, s1, rng.choice(others))
+        # Every set may be a target when there are few; then none is re-rolled.
+        others = [i for i in range(g.num_sets) if i not in indices]
+        s2 = _reroll_set(rng, plan, s1, rng.choice(others)) if others else s1
         bad, r1 = _paired_apply(cfg, s1, s2, OffCoreFlush(targets), f"{seed}:ol:{t}",
                                 sets=indices)
         unscrubbed = [i for i in sorted(indices) if not r1.sets[i].is_empty() or r1.sets[i].meta]

@@ -72,6 +72,9 @@ class CacheGeometry:
         for name in ("line_size", "num_sets", "page_size"):
             if not _is_pow2(getattr(self, name)):
                 raise ConfigError(f"geometry.{name}: must be a power of two, got {getattr(self, name)}")
+        if self.num_sets < 2:
+            # No other set to perturb in a locality check, and no colours to split.
+            raise ConfigError(f"geometry.num_sets: must be >= 2, got {self.num_sets}")
         if self.num_ways < 1:
             raise ConfigError(f"geometry.num_ways: must be >= 1, got {self.num_ways}")
         if not _is_pow2(self.num_ways):

@@ -8,6 +8,9 @@ map, a length budget and a seed.  It cannot see hidden cache sets, so two
 states that agree on the visible projection always yield the same trace.
 That restriction is what lets the confidentiality argument go through; the
 "peeking" variant below deliberately breaks it and exists to be caught.
+
+draw_sets draws the random cache sets that the property checks start from,
+and that perturb_invisible re-rolls where a chooser cannot see.
 """
 
 from __future__ import annotations
@@ -15,7 +18,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from typing import Iterable
+import struct
+from itertools import repeat
+from math import comb, perm
+from operator import and_
+from typing import Iterable, NamedTuple
 
 from .core import AddressMap, CacheGeometry, DomainPolicy, TranslationFault, set_index_of
 from .microarch import (
@@ -164,63 +171,91 @@ def select_trace_peeking(
     )
 
 
-PoolPlan = tuple[tuple[int, ...], tuple[int, ...] | None]
+# --- random cache sets -------------------------------------------------------
+
+_MEMO_CAP = 256
 
 
-def pool_plans(universe: Iterable[int], g: CacheGeometry, sets: Iterable[int]) -> dict[int, PoolPlan]:
-    """What draw_ways needs for each of sets: its pool among the universe's
-    lines, and the widths of the draws Random.sample makes to take up to
-    num_ways of it from a list (None over 21 lines: then it may use a set)."""
+class _Pool(dict):
+    """Ways tuples of distinct tags, by key.  Key k holds min(k % (ways + 1),
+    len(tags)) tags at levels 1..levels in some ways, numbered by k // (ways + 1);
+    mods[n] is ways + 1 times the count for n, so r % mods[r % (ways + 1)] of a
+    uniform r is uniform over n and then over the tuples.  A missing key is
+    decoded; the first _MEMO_CAP are kept, and the entry tuples are shared."""
+
+    def __init__(self, tags: tuple[int, ...], ways: int, levels: int):
+        self.ways, self.levels = ways, levels
+        self.entries = tuple(tuple((t, level) for level in range(1, levels + 1)) for t in tags)
+        self.mods = tuple((ways + 1) * comb(ways, k) * perm(len(tags), k) * levels ** k
+                          for k in (min(n, len(tags)) for n in range(ways + 1)))
+
+    def __missing__(self, key: int) -> tuple[Entry | None, ...]:
+        k = min(key % (self.ways + 1), len(self.entries))
+        j, c = divmod(key // (self.ways + 1), comb(self.ways, k))
+        left, out, x = list(self.entries), [None] * self.ways, self.ways
+        for i in range(k, 0, -1):   # the ways of combination c, highest first
+            x -= 1
+            while comb(x, i) > c:
+                x -= 1
+            c -= comb(x, i)
+            j, level = divmod(j, self.levels)
+            j, t = divmod(j, len(left))
+            out[x] = left.pop(t)[level]
+        ways = tuple(out)
+        return self.setdefault(key, ways) if len(self) < _MEMO_CAP else ways
+
+
+_pool = functools.lru_cache(maxsize=256)(_Pool)
+
+
+class SetDraw(NamedTuple):
+    """How draw_sets draws a run of cache sets: one pool per set, the number
+    of ways, the bytes drawn per set and the width of the metadata."""
+    pools: tuple[_Pool, ...]
+    ways: int
+    width: int
+    meta_bits: int
+
+
+def set_draw(universe: Iterable[int], g: CacheGeometry, sets: Iterable[int], max_level: int,
+             replacement: str) -> SetDraw:
+    """The SetDraw for the given sets, each drawn from the universe's lines in it:
+    metadata of max(ways - 1, 1) bits under PLRU and 64 under adversarial."""
     pools: dict[int, list[int]] = {i: [] for i in sets}
-    for line in sorted(universe):
+    for line in sorted({g.line_of(a) for a in universe}):
         if (i := set_index_of(line, g)) in pools:
-            pools[i].append(g.line_of(line))
-    return {i: (tuple(p), None if len(p) > 21 else
-                tuple((len(p) - k).bit_length() for k in range(min(len(p), g.num_ways))))
-            for i, p in pools.items()}
+            pools[i].append(line)
+    drawn = tuple(_pool(tuple(p), g.num_ways, max_level) for p in pools.values())
+    meta_bits = 64 if replacement == "adversarial" else max(g.num_ways - 1, 1)
+    # 32 bits beyond the largest modulus keep each key's bias below 2^-32.
+    top = max((m for p in drawn for m in p.mods), default=1)
+    return SetDraw(drawn, g.num_ways, (meta_bits + top.bit_length() + 39) // 8, meta_bits)
 
 
-def draw_ways(rng: random.Random, tags: tuple[int, ...], widths: tuple[int, ...] | None,
-              ways: int, max_level: int, shuffle: bool = False) -> tuple[Entry | None, ...]:
-    """A random cache set's ways, drawn word for word as this draws them:
-        out = [(t, rng.randint(1, max_level))
-               for t in rng.sample(tags, min(rng.randint(0, ways), len(tags)))]
-        out += [None] * (ways - len(out)); if shuffle: rng.shuffle(out)
-    but by rng.getrandbits alone, each loop a Random._randbelow; see pool_plans."""
-    grb, w = rng.getrandbits, (ways + 1).bit_length()
-    while (n := grb(w)) > ways:
-        pass
-    k = min(n, len(tags))
-    if widths is None:
-        picked = rng.sample(tags, k)
-    else:
-        pool, size, picked = list(tags), len(tags), []
-        for i in range(k):
-            while (j := grb(widths[i])) >= size - i:
-                pass
-            picked.append(pool[j])
-            pool[j] = pool[size - i - 1]
-    w = max_level.bit_length()
-    out: list[Entry | None] = [None] * ways
-    for i, t in enumerate(picked):
-        while (level := grb(w)) >= max_level:
-            pass
-        out[i] = (t, level + 1)
-    # _shuffle, inline: property states draw hundreds of thousands of sets.
-    for i in range(ways - 1, 0, -1) if shuffle else ():
-        w = (i + 1).bit_length()
-        while (j := grb(w)) > i:
-            pass
-        out[i], out[j] = out[j], out[i]
-    return tuple(out)
+def draw_sets(rng: random.Random, draw: SetDraw, tail: str = "") -> tuple[list[CacheSet], tuple]:
+    """A random cache set for each of draw's pools, then the fields of the struct
+    format tail, all from one rng.getrandbits.  The number of lines a set asks
+    for is uniform over 0..ways; it holds that many distinct lines of its pool
+    (or all of them) at uniform levels in uniformly chosen ways, and its field's
+    low meta_bits are its metadata."""
+    fmt = f"<{f'{draw.width}s' * len(draw.pools)}{tail}"
+    size = struct.calcsize(fmt)
+    fields = struct.unpack(fmt, rng.getrandbits(8 * size).to_bytes(size, "little"))
+    n, n1, shift, mask = len(draw.pools), draw.ways + 1, draw.meta_bits, (1 << draw.meta_bits) - 1
+    values = list(map(int.from_bytes, fields[:n], repeat("little")))
+    ways = [pool[(r := v >> shift) % pool.mods[r % n1]] for pool, v in zip(draw.pools, values)]
+    metas = map(and_, values, repeat(mask))
+    # CacheSet._make without its length check: a fifth of a state's cost.
+    return list(map(tuple.__new__, repeat(CacheSet), zip(ways, metas))), fields[n:]
 
 
 @functools.lru_cache(maxsize=64)
-def _perturb_plan(observer: int, policy: DomainPolicy, g: CacheGeometry,
-                  universe: frozenset[int]) -> tuple[tuple[int, PoolPlan], ...]:
-    """pool_plans for each set the executing observer cannot see, once per policy."""
-    hidden = set(range(g.num_sets)).difference(visible_set_indices(observer, policy, g, "executing"))
-    return tuple(pool_plans(universe, g, sorted(hidden)).items())
+def _perturb_plan(observer: int, policy: DomainPolicy, g: CacheGeometry, universe: frozenset[int],
+                  max_level: int) -> tuple[tuple[int, ...], SetDraw]:
+    """The sets the executing observer cannot see, and their SetDraw, once per policy."""
+    hidden = sorted(set(range(g.num_sets)).difference(
+        visible_set_indices(observer, policy, g, "executing")))
+    return tuple(hidden), set_draw(universe, g, hidden, max_level, policy.replacement)
 
 
 def perturb_invisible(
@@ -236,15 +271,13 @@ def perturb_invisible(
 
     Test helper for the dependency restriction: the returned state has the
     same visible projection as the input for that observer, with all other
-    sets re-rolled.  With a single-domain policy covering every colour there
-    is nothing invisible and the state comes back unchanged.
+    sets re-rolled by draw_sets.  With a single-domain policy covering every
+    colour there is nothing invisible and the state comes back unchanged.
     """
-    plan = _perturb_plan(observer, policy, g, frozenset(universe_lines))
-    if not plan:
+    hidden, draw = _perturb_plan(observer, policy, g, frozenset(universe_lines), max_level)
+    if not hidden:
         return state
-    rng = random.Random(f"perturb:{seed}")
     new_sets = list(state.sets)
-    for idx, (tags, widths) in plan:
-        ways = draw_ways(rng, tags, widths, g.num_ways, max_level) if tags else (None,) * g.num_ways
-        new_sets[idx] = CacheSet(ways, rng.getrandbits(64))
+    for idx, cset in zip(hidden, draw_sets(random.Random(f"perturb:{seed}"), draw)[0]):
+        new_sets[idx] = cset
     return state._replace(sets=tuple(new_sets))

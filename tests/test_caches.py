@@ -16,6 +16,7 @@ CACHES = [
     (microarch._access_terms, lambda k: (k, 64 * k, 64, 64, 8)),
     (microarch._plru_masks, lambda k: (k + 1,)),
     (microarch._lanes, lambda k: (k + 1,)),
+    (selector._pool, lambda k: ((64 * k,), 2, 2)),
 ]
 
 
@@ -29,3 +30,14 @@ def test_cache_stays_within_its_bound(cache, args):
     info = cache.cache_info()
     assert info.misses == bound + 20      # every key was new
     assert info.currsize == bound
+
+
+def test_a_pool_keeps_at_most_its_memo_cap():
+    """A pool of 30 lines in 4 ways at 3 levels has 53M sets of four lines;
+    its memo keeps the first _MEMO_CAP keys drawn and decodes the rest."""
+    pool = selector._Pool(tuple(range(0, 30 * 64, 64)), 4, 3)
+    assert pool.mods[4] == 5 * 30 * 29 * 28 * 27 * 3 ** 4
+    keys = range(0, 5 * pool.mods[4], pool.mods[4] // 997)
+    drawn = [pool[k % pool.mods[k % 5]] for k in keys]
+    assert len(keys) > 2 * selector._MEMO_CAP and len(pool) == selector._MEMO_CAP
+    assert [pool[k % pool.mods[k % 5]] for k in keys] == drawn

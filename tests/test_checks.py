@@ -1,6 +1,8 @@
 """The property and invariant check suites, plus their own failure modes."""
 
+import collections
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -28,7 +30,9 @@ from tpsim.microarch import (
     PadTo,
     Read,
     Write,
+    visible_set_indices,
 )
+from tpsim.selector import perturb_invisible
 
 
 def test_property_suite_passes_on_both_configs(ref_cfg, adv_cfg):
@@ -76,52 +80,13 @@ def test_peeking_selector_fails_the_dependency_check(ref_cfg):
     assert peeking.format().startswith("FAIL")
 
 
-# --- the random state stream --------------------------------------------------
-# checks draws its states through rng.getrandbits alone.  These are the
-# randint/sample/shuffle originals it must match word for word, so that every
-# seeded check result stays what it was.
-
-def _reference_pools(cfg):
-    pools = {i: [] for i in range(cfg.geometry.num_sets)}
-    for line in sorted(universe_lines(cfg.universe_pages, cfg.geometry)):
-        pools[set_index_of(line, cfg.geometry)].append(line)
-    return pools
-
-
-def _reference_set(rng, g, cm, pool, adversarial):
-    n = rng.randint(0, g.num_ways)
-    lines = rng.sample(pool, min(n, len(pool)))
-    ways = [(g.line_of(p), rng.randint(1, cm.max_level)) for p in lines]
-    ways += [None] * (g.num_ways - len(ways))
-    rng.shuffle(ways)
-    if adversarial:
-        meta = rng.getrandbits(64)
-    else:
-        meta = rng.getrandbits(max(g.num_ways - 1, 1))
-    return CacheSet(ways=tuple(ways), meta=meta)
-
-
-def _reference_state(rng, cfg, pools):
-    g, cm = cfg.geometry, cfg.cost_model
-    adversarial = cfg.policy.replacement == "adversarial"
-    sets = tuple(
-        _reference_set(rng, g, cm, pools[i], adversarial) for i in range(g.num_sets)
-    )
-    flushable = tuple(rng.getrandbits(64) for _ in range(cm.flushable_words))
-    return MicroArchState(flushable=flushable, sets=sets,
-                          clock=rng.randrange(1 << 20))
-
-
-def _reference_reroll(rng, cfg, pools, state, j):
-    adversarial = cfg.policy.replacement == "adversarial"
-    fresh = _reference_set(rng, cfg.geometry, cfg.cost_model, pools[j], adversarial)
-    return state._replace(sets=state.sets[:j] + (fresh,) + state.sets[j + 1:])
-
+# --- random states -------------------------------------------------------------
+# checks draws each state from one rng.getrandbits through selector.draw_sets.
+# These tests pin what a drawn set may hold and how often, not the stream.
 
 def _four_way_config(cfg):
     """4 ways, 3 cachedness levels, and per colour 30, 10, 0 and 1 pages: pools
-    too large for Random.sample's list branch, pools within it, empty pools,
-    and shuffles of several swaps."""
+    of 30, 10, 0 and 1 lines in each set, far more outcomes than a memo keeps."""
     pages = [p * 1024 for p in range(120) if p % 4 == 0]
     pages += [p * 1024 for p in range(40) if p % 4 == 1] + [3 * 1024]
     return dataclasses.replace(
@@ -132,25 +97,112 @@ def _four_way_config(cfg):
     )
 
 
-@pytest.mark.parametrize("replacement", ["plru", "adversarial"])
-@pytest.mark.parametrize("shape", ["ref_cfg", "adv_cfg", "four-way"])
-def test_random_states_draw_the_reference_stream(request, ref_cfg, shape, replacement):
+SHAPES = [(shape, replacement) for shape in ("ref_cfg", "adv_cfg", "four-way")
+          for replacement in ("plru", "adversarial")]
+
+
+def _shaped(request, ref_cfg, shape, replacement):
     cfg = _four_way_config(ref_cfg) if shape == "four-way" else request.getfixturevalue(shape)
-    cfg = dataclasses.replace(
-        cfg, policy=dataclasses.replace(cfg.policy, replacement=replacement))
-    pools, plan = _reference_pools(cfg), checks._state_plan(cfg)
-    if shape == "four-way":
-        assert {len(p) for p in pools.values()} == {30, 10, 0, 1}
-    for seed in range(50):
-        want, got = random.Random(seed), random.Random(seed)
-        for _ in range(5):
-            state = _reference_state(want, cfg, pools)
-            assert checks._random_state(got, cfg, plan) == state, seed
-            j = want.randrange(cfg.geometry.num_sets)
-            assert got.randrange(cfg.geometry.num_sets) == j
-            assert (checks._reroll_set(got, cfg, plan, state, j)
-                    == _reference_reroll(want, cfg, pools, state, j)), seed
-        assert got.getrandbits(64) == want.getrandbits(64), seed
+    return dataclasses.replace(cfg, policy=dataclasses.replace(cfg.policy, replacement=replacement))
+
+
+def _pools(cfg):
+    """Each set's lines in the config's universe."""
+    pools = {i: set() for i in range(cfg.geometry.num_sets)}
+    for line in universe_lines(cfg.universe_pages, cfg.geometry):
+        pools[set_index_of(line, cfg.geometry)].add(line)
+    return pools
+
+
+def _meta_bits(cfg):
+    return 64 if cfg.policy.replacement == "adversarial" else max(cfg.geometry.num_ways - 1, 1)
+
+
+def _drawn_sets(cfg, draws, seed):
+    """(set index, set) for every set the three drawing functions draw: the
+    sets of draws random states, one re-rolled set of each, and the hidden sets
+    of a perturbation of each for every observer.  Asserts on the way that
+    each leaves all else as it was."""
+    g, plan = cfg.geometry, checks._state_plan(cfg)
+    rng = random.Random(seed)
+    lines = sorted(universe_lines(cfg.universe_pages, g))
+    for t in range(draws):
+        s = checks._random_state(rng, cfg, plan)
+        assert len(s.flushable) == cfg.cost_model.flushable_words
+        assert all(0 <= w < 1 << 64 for w in s.flushable) and 0 <= s.clock < 1 << 20
+        yield from enumerate(s.sets)
+        j = rng.randrange(g.num_sets)
+        r = checks._reroll_set(rng, plan, s, j)
+        assert (r.flushable, r.clock) == (s.flushable, s.clock)
+        assert all(a is b for i, (a, b) in enumerate(zip(r.sets, s.sets)) if i != j)
+        yield j, r.sets[j]
+        for observer in cfg.policy.domain_ids():
+            p = perturb_invisible(s, observer, cfg.policy, g, lines, f"{seed}:{t}",
+                                  max_level=cfg.cost_model.max_level)
+            visible = visible_set_indices(observer, cfg.policy, g, "executing")
+            assert (p.flushable, p.clock) == (s.flushable, s.clock)
+            assert all(p.sets[i] is s.sets[i] for i in visible)
+            yield from ((i, cs) for i, cs in enumerate(p.sets) if i not in visible)
+
+
+@pytest.mark.parametrize("shape, replacement", SHAPES)
+def test_random_sets_hold_distinct_lines_of_their_own_pool(request, ref_cfg, shape, replacement):
+    cfg = _shaped(request, ref_cfg, shape, replacement)
+    g, pools, bits = cfg.geometry, _pools(cfg), _meta_bits(cfg)
+    metas_or, metas_and = 0, (1 << bits) - 1
+    for i, cs in _drawn_sets(cfg, 150, f"fit:{shape}"):
+        assert len(cs.ways) == g.num_ways
+        tags = [e[0] for e in cs.ways if e is not None]
+        assert len(set(tags)) == len(tags) <= len(pools[i]), (i, cs)
+        assert set(tags) <= pools[i], (i, cs)
+        assert all(1 <= e[1] <= cfg.cost_model.max_level for e in cs.ways if e is not None), cs
+        assert 0 <= cs.meta < 1 << bits
+        metas_or, metas_and = metas_or | cs.meta, metas_and & cs.meta
+    assert (metas_or, metas_and) == ((1 << bits) - 1, 0)     # every metadata bit varies
+
+
+def _all_ways(tags, ways, levels):
+    """Every ways tuple of distinct tags, at any levels, in any ways."""
+    out = set()
+    for k in range(min(ways, len(tags)) + 1):
+        for where in itertools.combinations(range(ways), k):
+            for chosen in itertools.permutations(sorted(tags), k):
+                for lv in itertools.product(range(1, levels + 1), repeat=k):
+                    w = [None] * ways
+                    for at, tag, level in zip(where, chosen, lv):
+                        w[at] = (tag, level)
+                    out.add(tuple(w))
+    return out
+
+
+@pytest.mark.parametrize("shape, replacement", SHAPES)
+def test_random_sets_are_uniform_in_size_and_cover_small_pools(request, ref_cfg, shape,
+                                                                replacement):
+    """The number of lines asked for is uniform over 0..num_ways: a set whose
+    pool has at least num_ways lines holds each count 1/(num_ways + 1) of the
+    time.  A pool of 2 or 3 lines shows every set it can make."""
+    cfg = _shaped(request, ref_cfg, shape, replacement)
+    g, pools = cfg.geometry, _pools(cfg)
+    sizes, seen = collections.Counter(), collections.defaultdict(set)
+    for i, cs in _drawn_sets(cfg, 1000, f"uniform:{shape}"):
+        if len(pools[i]) >= g.num_ways:
+            sizes[sum(e is not None for e in cs.ways)] += 1
+        if len(pools[i]) in (2, 3):
+            seen[i].add(cs.ways)
+    total = sum(sizes.values())
+    assert total >= 3000 and sorted(sizes) == list(range(g.num_ways + 1))
+    assert all(1 / 6 < n / total < 1 / 2 for n in sizes.values()), sizes
+    assert seen or shape == "four-way"
+    for i, ways in seen.items():
+        assert ways == _all_ways(pools[i], g.num_ways, cfg.cost_model.max_level), i
+
+
+@pytest.mark.parametrize("shape, replacement", SHAPES)
+def test_random_sets_repeat_with_the_seed(request, ref_cfg, shape, replacement):
+    cfg = _shaped(request, ref_cfg, shape, replacement)
+    first = list(_drawn_sets(cfg, 20, "again"))
+    assert list(_drawn_sets(cfg, 20, "again")) == first
+    assert list(_drawn_sets(cfg, 20, "other")) != first
 
 
 def test_audit_flags_doctored_records(ref_cfg):

@@ -103,6 +103,39 @@ def _edited(tmp_path, config_dir, section, key, value):
     return str(path)
 
 
+def _small_cache(tmp_path, config_dir, num_sets):
+    """Path of a copy of the reference config on num_sets sets with 64-byte
+    pages: one domain of colour 0, its image at 0x80, the globals at 0x100 and
+    its one page at 0x180, so every line sits in set 0."""
+    import yaml
+    doc = yaml.safe_load((config_dir / "reference.yaml").read_text())
+    doc["geometry"].update(num_sets=num_sets, page_size=64)
+    doc["policy"].update(kernel_globals=["0x100"], domains=[
+        {"id": 0, "colours": [0], "kernel_image": ["0x80"], "user_region": ["0x180"]}])
+    doc["scenario"].update(
+        address_map={"0x180": "0x180"},
+        objects=[{"id": "buf", "owner": 0, "base": "0x180", "size": 64}],
+        inputs={0: [[{"kind": "user_read", "obj": "buf", "offset": 0}]]})
+    path = tmp_path / f"sets-{num_sets}.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+def test_check_runs_on_a_two_set_cache(capsys, tmp_path, config_dir):
+    """The locality checks re-roll a set other than the ones the operation
+    may touch; here the only other set has no lines, only metadata."""
+    path = _small_cache(tmp_path, config_dir, 2)
+    code, out, err = run_cli(capsys, "check", path, "--suite", "all", "--trials", "40",
+                             "--no-timestamp")
+    assert (code, err) == (0, "") and "8/8 checks passed" in out, out
+
+
+def test_a_one_set_cache_is_exit_2(capsys, tmp_path, config_dir):
+    path = _small_cache(tmp_path, config_dir, 1)
+    code, out, err = run_cli(capsys, "check", path, "--no-timestamp")
+    assert (code, out) == (2, "") and "geometry.num_sets: must be >= 2, got 1" in err
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("scenario", "slices", 0),      # no transitions to compare: no clean verdict
     ("scenario", "slices", -3),

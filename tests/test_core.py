@@ -59,6 +59,8 @@ def test_geometry_rejects_bad_shapes():
     with pytest.raises(ConfigError):
         # cache span (4 sets * 64) smaller than one page
         CacheGeometry(line_size=64, num_sets=4, num_ways=2, page_size=1024)
+    with pytest.raises(ConfigError, match="geometry.num_sets: must be >= 2, got 1"):
+        CacheGeometry(line_size=64, num_sets=1, num_ways=2, page_size=64)
 
 
 def test_set_index_walks_lines():

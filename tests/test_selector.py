@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tpsim.core import (
-    AddressMap, CacheGeometry, DomainPolicy, DomainSpec, TranslationFault, set_index_of,
+    AddressMap, CacheGeometry, DomainPolicy, DomainSpec, TranslationFault,
 )
 from tpsim.microarch import (
     CacheSet,
@@ -16,7 +16,6 @@ from tpsim.microarch import (
     Write,
     adheres,
     visible_projection,
-    visible_set_indices,
 )
 from tpsim.selector import (
     _shuffle,
@@ -130,52 +129,6 @@ def test_perturb_leaves_single_domain_alone():
     )
     s = MicroArchState.initial(G, 8)
     assert perturb_invisible(s, 0, solo, G, UNIVERSE, seed=1) is s
-    assert _reference_perturb(s, 0, solo, G, UNIVERSE, seed=1) is s
-
-
-def _reference_perturb(state, observer, policy, g, universe_lines, seed, max_level=2):
-    """perturb_invisible as randint and sample draw it; the real one draws the
-    same words through getrandbits alone."""
-    visible = frozenset(visible_set_indices(observer, policy, g, "executing"))
-    rng = random.Random(f"perturb:{seed}")
-    by_set = {}
-    for line in universe_lines:
-        by_set.setdefault(set_index_of(line, g), []).append(line)
-    new_sets = list(state.sets)
-    changed = False
-    for idx in range(g.num_sets):
-        if idx in visible:
-            continue
-        candidates = sorted(by_set.get(idx, []))
-        ways = [None] * g.num_ways
-        if candidates:
-            occupancy = rng.randint(0, g.num_ways)
-            tags = rng.sample(candidates, min(occupancy, len(candidates)))
-            for i, t in enumerate(tags):
-                ways[i] = (g.line_of(t), rng.randint(1, max_level))
-        new_sets[idx] = CacheSet(tuple(ways), meta=rng.getrandbits(64))
-        changed = True
-    if not changed:
-        return state
-    return MicroArchState(state.flushable, tuple(new_sets), state.clock)
-
-
-# 4 ways over 64 sets, with 30 pages of colour 2 (pools too large for
-# Random.sample's list branch), 10 of colour 3, and none of colours 0 and 1.
-G4 = CacheGeometry(line_size=64, num_sets=64, num_ways=4, page_size=1024)
-WIDE = [p * 1024 + off for p in range(120) if p % 4 == 2 for off in range(0, 1024, 64)]
-WIDE += [p * 1024 + off for p in range(40) if p % 4 == 3 for off in range(0, 1024, 64)]
-
-
-@pytest.mark.parametrize("g, universe, max_level", [(G, UNIVERSE, 2), (G4, WIDE, 3)])
-def test_perturb_draws_the_reference_stream(g, universe, max_level):
-    rng = random.Random("perturb-stream")
-    for seed in range(100):
-        flushable = tuple(rng.getrandbits(64) for _ in range(8))
-        s = MicroArchState(flushable, MicroArchState.initial(g, 8).sets, rng.randrange(5000))
-        for observer in (0, 1):
-            want = _reference_perturb(s, observer, POL, g, universe, seed, max_level)
-            assert perturb_invisible(s, observer, POL, g, universe, seed, max_level) == want
 
 
 # --- the cached fast paths against the text and draws they replace -----------
