@@ -11,7 +11,8 @@ cannot distinguish a real channel from sampling noise.  The apparent capacity
 M0 calibrates that: shuffle the symbol labels (destroying any real
 association), recompute MI, and repeat; the mean is M0 and the 2.5th/97.5th
 percentiles give a 95% interval.  A channel counts as closed when M sits
-within that interval.
+within that interval.  The shuffles draw from one string-seeded random.Random,
+so for a fixed seed M0 depends only on Python's random stream.
 
 Every sample is a run of prime, symbol and probe slices per symbol, with any
 other domains idle between the symbol and the probe; the two runs share the
@@ -25,19 +26,18 @@ measured MI.
 from __future__ import annotations
 
 import csv
-import hashlib
+import itertools
 import math
+import operator
+import random
+import statistics
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Iterator, Sequence
 
 from .config import NOOP, PREFETCH_MECHANISM, PROTECTIONS, SYS_READ, USER_READ, Input, RunConfig
 from .core import ConfigError, fan_out, pool_size
 from .kernel import RunError, RunOptions, SystemRunner
-
-if TYPE_CHECKING:
-    import numpy as np
-
 
 # --- channel matrix ---------------------------------------------------------------
 
@@ -110,52 +110,58 @@ def write_matrix_csv(matrix: ChannelMatrix, path: str | Path) -> None:
 
 # --- capacity ---------------------------------------------------------------------
 
-def mutual_information(matrix: ChannelMatrix) -> float:
-    """Plug-in MI of the empirical joint, in bits, with 0 log 0 = 0.
+def _mi_term(c: int, total: int, rowsum: int, colsum: int) -> float:
+    """One cell's MI term, in bits: exactly 0.0 where c*T == rowsum*colsum or c == 0."""
+    num, den = c * total, rowsum * colsum
+    return 0.0 if c == 0 or num == den else (c / total) * math.log2(num / den)
 
-    Terms whose joint exactly factorises (c*T == rowsum*colsum as integers)
-    contribute exactly zero and are skipped, so the uniform matrix gives 0.0
-    and the 2x2 identity gives 1.0, both exactly.
-    """
+
+def mutual_information(matrix: ChannelMatrix) -> float:
+    """Plug-in MI of the empirical joint, in bits.  Exactly factorising terms
+    add exactly zero, so the uniform matrix gives 0.0 and the 2x2 identity 1.0."""
     counts = matrix.counts
-    total = sum(sum(row) for row in counts)
+    total = sum(map(sum, counts))
     if total <= 0:
         raise ConfigError("channel matrix: empty")
-    rowsums = [sum(row) for row in counts]
     colsums = [sum(col) for col in zip(*counts)]
     mi = 0.0
-    for x, row in enumerate(counts):
-        rx = rowsums[x]
-        for y, c in enumerate(row):
-            if c == 0:
-                continue
-            num = c * total
-            den = rx * colsums[y]
-            if num == den:
-                continue
-            mi += (c / total) * math.log2(num / den)
+    for rx, row in zip(map(sum, counts), counts):
+        for c, cy in zip(row, colsums):
+            if c:
+                mi += _mi_term(c, total, rx, cy)
     return mi
 
 
-def _mi_int_array(counts: np.ndarray) -> float:
-    """mutual_information on an int ndarray; same exact-term skipping."""
-    import numpy as np
-    total = int(counts.sum())
-    rows = counts.sum(axis=1, dtype=np.int64)[:, None]
-    cols = counts.sum(axis=0, dtype=np.int64)[None, :]
-    num = counts.astype(np.int64) * total
-    den = rows * cols
-    mask = (counts > 0) & (num != den)
-    if not mask.any():
-        return 0.0
-    c = counts[mask].astype(np.float64)
-    return float(np.sum((c / total) * np.log2(num[mask] / den[mask])))
+def _shuffled_counts(nrows: int, cols: Sequence[int], shuffles: int,
+                     rng: random.Random) -> Iterator[list[list[int]]]:
+    """Count tables of `shuffles` uniform shuffles of nrows equal-sized label
+    groups over samples in bins of sizes cols, one row per label.
 
-
-def _np_seed(seed: object) -> int:
-    return int.from_bytes(
-        hashlib.blake2b(str(seed).encode(), digest_size=8).digest(), "big"
-    )
+    Bin y is one span of sample positions.  A shuffle draws every sample's
+    label alike, then moves uniformly chosen samples off each label that holds
+    too many onto one that holds too few.  Each step treats positions alike,
+    so the labelling is exchangeable, and with exact counts it is uniform.
+    """
+    if nrows > 256:
+        raise ConfigError("channel matrix: M0 shuffles at most 256 symbols")
+    total = sum(cols)
+    n = total // nrows
+    edges = [0, *itertools.accumulate(cols)]            # bin y spans edges[y]..edges[y+1]
+    table = (bytes(range(nrows)) * 256)[:256]          # table[b] == b % nrows
+    for _ in range(shuffles):
+        labels = bytearray(rng.randbytes(total).translate(table))
+        have = [labels.count(x) for x in range(nrows)]
+        for x in range(nrows):
+            while have[x] > n:
+                i = rng.randrange(total)
+                if labels[i] == x:
+                    labels[i] = z = have.index(min(have))
+                    have[x], have[z] = have[x] - 1, have[z] + 1
+        rows, rest = [], cols
+        for x in range(nrows - 1):
+            rows.append(list(map(labels.count, itertools.repeat(x), edges, edges[1:])))
+            rest = list(map(operator.sub, rest, rows[-1]))
+        yield rows + [rest]
 
 
 def apparent_capacity_M0(matrix: ChannelMatrix, shuffles: int,
@@ -164,24 +170,18 @@ def apparent_capacity_M0(matrix: ChannelMatrix, shuffles: int,
 
     Shuffling the symbol labels destroys any symbol/latency association while
     preserving both marginals; the MI that survives is small-sample bias.
-    Returns (mean over shuffles, (2.5th, 97.5th percentile)).
+    Returns (mean over shuffles, (2.5th, 97.5th percentile, linearly interpolated)).
     """
     if shuffles < 100:
         raise ConfigError(f"shuffles: need at least 100, got {shuffles}")
-    # numpy is imported here, not with the module: only M0 needs it.
-    import numpy as np
-    counts = np.array(matrix.counts, dtype=np.int64)
-    nrows, nbins = counts.shape
-    labels = np.repeat(np.arange(nrows), counts.sum(axis=1))
-    bins = np.concatenate([np.repeat(np.arange(nbins), row) for row in counts])
-    rng = np.random.default_rng(_np_seed(seed))
-    mis = np.empty(shuffles)
-    for k in range(shuffles):
-        shuffled = rng.permutation(labels)
-        c = np.bincount(shuffled * nbins + bins, minlength=nrows * nbins)
-        mis[k] = _mi_int_array(c.reshape(nrows, nbins))
-    lo, hi = np.percentile(mis, [2.5, 97.5])
-    return float(np.mean(mis)), (float(lo), float(hi))
+    total, n = matrix.total, matrix.samples_per_symbol
+    cols = [c for c in map(sum, zip(*matrix.counts)) if c]
+    # Row sums are equal, so one table of terms per bin, indexed by count, serves every row.
+    terms = [[_mi_term(k, total, n, c) for k in range(c + 1)] for c in cols]
+    mis = [sum(sum(map(operator.getitem, terms, row)) for row in rows) for rows in
+           _shuffled_counts(len(matrix.labels), cols, shuffles, random.Random(str(seed)))]
+    cuts = statistics.quantiles(mis, n=40, method="inclusive")
+    return statistics.fmean(mis), (cuts[0], cuts[-1])
 
 
 @dataclass

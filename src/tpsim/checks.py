@@ -151,7 +151,7 @@ def check_offcore_flush_locality(cfg: RunConfig, trials: int, seed: object) -> C
     lines = sorted(universe_lines(cfg.universe_pages, g))
     for t in range(trials):
         s1 = _random_state(rng, cfg, plan)
-        targets = frozenset(rng.sample(lines, rng.randint(1, 3)))
+        targets = frozenset(rng.sample(lines, rng.randint(1, min(3, len(lines)))))
         indices = {set_index_of(a, g) for a in targets}
         # Every set may be a target when there are few; then none is re-rolled.
         others = [i for i in range(g.num_sets) if i not in indices]
@@ -205,7 +205,7 @@ def check_wcet_bounds(cfg: RunConfig, trials: int, seed: object) -> CheckResult:
             op = OnCoreFlush()
             lo, hi = cm.oncore_flush_base, cm.oncore_flush_wcet
         else:
-            op = OffCoreFlush(frozenset(rng.sample(lines, rng.randint(1, 3))))
+            op = OffCoreFlush(frozenset(rng.sample(lines, rng.randint(1, min(3, len(lines))))))
             lo, hi = cm.offcore_flush_base, cm.offcore_flush_wcet
         r = apply_op(s, op, oracle, g, cm, cfg.policy)
         cost = r.clock - s.clock
@@ -286,13 +286,13 @@ def _owned_objects(cfg: RunConfig, domain: int) -> list[str]:
 
 
 def _random_benign_input(cfg: RunConfig, domain: int, rng: random.Random) -> Input:
-    kinds = [k for k in INPUT_KINDS if k != RAW_ACCESS]
-    kind = rng.choice(kinds)
-    if kind == NOOP:
-        return Input(kind=NOOP)
-    if kind == SYS_ALLOC:
-        return Input(kind=SYS_ALLOC)
+    """A random well-formed input of domain's; a noop if it owns no object."""
     objs = _owned_objects(cfg, domain)
+    if not objs:
+        return Input(kind=NOOP)
+    kind = rng.choice([k for k in INPUT_KINDS if k != RAW_ACCESS])
+    if kind in (NOOP, SYS_ALLOC):
+        return Input(kind=kind)
     return Input(kind=kind, obj=rng.choice(objs),
                  offset=rng.randrange(4096), byte=rng.randrange(256))
 
@@ -302,9 +302,9 @@ def _random_fuzz_input(cfg: RunConfig, domain: int, rng: random.Random) -> Input
     arbitrary addresses, unknown objects, other domains' objects."""
     roll = rng.random()
     if roll < 0.15:
-        if rng.random() < 0.5:
-            base = rng.choice([o.base for o in cfg.scenario.objects])
-            v = base + rng.randrange(cfg.amap.page_size)
+        bases = [o.base for o in cfg.scenario.objects]
+        if bases and rng.random() < 0.5:
+            v = rng.choice(bases) + rng.randrange(cfg.amap.page_size)
         else:
             v = rng.randrange(1 << 28)
         return Input(kind=RAW_ACCESS, vaddr=v)

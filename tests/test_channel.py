@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import itertools
 import math
 import random
+import statistics
 
 import pytest
 
@@ -12,6 +14,7 @@ from tpsim.channel import (
     ChannelMatrix,
     PROTECTIONS,
     _attack_objects,
+    _shuffled_counts,
     apparent_capacity_M0,
     attack_variant,
     measure_channel,
@@ -212,6 +215,79 @@ def test_m0_calibrates_independent_joints():
         if mi <= hi:
             inside += 1
     assert inside >= int(reps * 0.9)
+
+
+def multinomial(n, parts):
+    """n! / prod(k! for k in parts), as a product of binomials."""
+    out = 1
+    for k in parts:
+        out *= math.comb(n, k)
+        n -= k
+    return out
+
+
+def exact_shuffle_law(nrows, cols):
+    """{count table: probability} of a uniform shuffle of nrows labels, each on
+    sum(cols) // nrows samples, over bins of sizes cols: the multivariate
+    hypergeometric law, table by table."""
+    n = sum(cols) // nrows
+    splits = [[p for p in itertools.product(range(c + 1), repeat=nrows) if sum(p) == c]
+              for c in cols]
+    law = {}
+    for columns in itertools.product(*splits):
+        rows = tuple(zip(*columns))
+        if all(sum(row) == n for row in rows):
+            law[rows] = math.prod(multinomial(c, k) for c, k in zip(cols, columns)) \
+                / multinomial(sum(cols), [n] * nrows)
+    return law
+
+
+@pytest.mark.parametrize("nrows, cols", [(2, (2, 3, 1)), (2, (1, 2, 2, 3)), (3, (2, 2, 2)),
+                                         (3, (3, 1, 1, 1, 3))], ids=str)
+def test_label_shuffles_follow_the_hypergeometric_law(nrows, cols):
+    """The shuffle's count tables, against the exact law of a uniform
+    permutation of the labels, by a chi-square test at the 99.9% point."""
+    law = exact_shuffle_law(nrows, cols)
+    assert math.isclose(sum(law.values()), 1.0)
+    draws = 24_000
+    seen = dict.fromkeys(law, 0)
+    for rows in _shuffled_counts(nrows, cols, draws, random.Random(f"law:{nrows}:{cols}")):
+        seen[tuple(map(tuple, rows))] += 1         # a table outside the law is a KeyError
+    assert len(seen) == len(law)
+    chi2 = sum((seen[t] - draws * p) ** 2 / (draws * p) for t, p in law.items())
+    df = len(law) - 1
+    # Wilson-Hilferty approximation of the chi-square quantile.
+    bound = df * (1 - 2 / (9 * df) + 3.09 * math.sqrt(2 / (9 * df))) ** 3
+    assert chi2 < bound, (chi2, bound, df)
+
+
+def test_m0_scores_each_shuffle_with_the_plug_in_mi():
+    """M0 is the mean of mutual_information over the shuffled tables, empty
+    bins and all, and its interval the 2.5th and 97.5th percentiles of it."""
+    rng = random.Random("score")
+    for _ in range(10):
+        m = random_matrix(rng)
+        cols = [sum(col) for col in zip(*m.counts)]
+        occupied = [y for y, c in enumerate(cols) if c]
+        mis = []
+        for rows in _shuffled_counts(len(m.labels), [cols[y] for y in occupied], 150,
+                                     random.Random("7")):
+            full = [[0] * len(cols) for _ in rows]
+            for row, counts in zip(full, rows):
+                for y, k in zip(occupied, counts):
+                    row[y] = k
+            mis.append(mutual_information(
+                ChannelMatrix(m.labels, m.edges, tuple(map(tuple, full)))))
+        mean, (lo, hi) = apparent_capacity_M0(m, 150, seed=7)
+        cuts = statistics.quantiles(mis, n=40, method="inclusive")
+        assert mean == pytest.approx(statistics.fmean(mis), abs=1e-12)
+        assert (lo, hi) == pytest.approx((cuts[0], cuts[-1]), abs=1e-12)
+
+
+def test_m0_rejects_more_symbols_than_a_byte_holds():
+    m = ChannelMatrix(tuple(map(str, range(257))), (0, 1), ((1,),) * 257)
+    with pytest.raises(ConfigError, match="at most 256 symbols"):
+        apparent_capacity_M0(m, 100, seed=0)
 
 
 def test_capacity_report_invariants():

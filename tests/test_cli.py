@@ -130,6 +130,22 @@ def test_check_runs_on_a_two_set_cache(capsys, tmp_path, config_dir):
     assert (code, err) == (0, "") and "8/8 checks passed" in out, out
 
 
+def test_check_runs_when_no_domain_owns_an_object(capsys, tmp_path, config_dir):
+    """Two sets of lines, fewer than an off-core flush may target, and no
+    object for an input to name: every check still runs and says PASS or FAIL."""
+    import yaml
+    path = _small_cache(tmp_path, config_dir, 2)
+    doc = yaml.safe_load(pathlib.Path(path).read_text())
+    doc["policy"]["domains"][0]["user_region"] = []
+    doc["scenario"].update(address_map={}, objects=[], inputs={0: [[{"kind": "noop"}]]})
+    pathlib.Path(path).write_text(yaml.safe_dump(doc))
+    code, out, err = run_cli(capsys, "check", path, "--suite", "all", "--trials", "20",
+                             "--no-timestamp")
+    verdicts = [line for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]
+    assert err == "" and len(verdicts) == 8, out
+    assert (code, out.splitlines()[-1]) == (0, "8/8 checks passed")
+
+
 def test_a_one_set_cache_is_exit_2(capsys, tmp_path, config_dir):
     path = _small_cache(tmp_path, config_dir, 1)
     code, out, err = run_cli(capsys, "check", path, "--no-timestamp")
@@ -291,16 +307,19 @@ def test_timestamp_header_present_by_default(capsys, config_dir):
     assert out.startswith("# generated ")
 
 
-def test_check_and_confidentiality_never_import_numpy(config_dir):
-    """numpy loads with the first M0 and not before: the commands without a
-    channel measurement start faster and smaller."""
+def test_no_command_imports_numpy(config_dir):
+    """M0 draws its shuffles from the random module, so no command, the
+    channel measurements included, loads numpy."""
     cfg = str(config_dir / "reference.yaml")
     script = (
         "import contextlib, io, sys\n"
         "from tpsim.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(['check', {cfg!r}, '--trials', '3', '--no-timestamp']),\n"
-        f"             main(['confidentiality', {cfg!r}, '--trials', '2', '--no-timestamp'])]\n"
+        f"             main(['confidentiality', {cfg!r}, '--trials', '2', '--no-timestamp']),\n"
+        f"             main(['attack', {cfg!r}, '--samples', '3', '--no-timestamp']),\n"
+        f"             main(['prefetch-experiment', {cfg!r}, '--samples', '3',\n"
+        "                   '--no-timestamp'])]\n"
         "print(codes, 'numpy' in sys.modules)\n"
     )
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -308,4 +327,4 @@ def test_check_and_confidentiality_never_import_numpy(config_dir):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[0, 0] False"
+    assert done.stdout.strip() == "[0, 0, 0, 0] False"
