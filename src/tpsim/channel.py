@@ -16,7 +16,8 @@ so for a fixed seed M0 depends only on Python's random stream.
 
 Every sample is a run of prime, symbol and probe slices per symbol, with any
 other domains idle between the symbol and the probe; the two runs share the
-prime slice, so it runs once and the runner forks after it.
+prime slice, so it runs once, and each symbol's run starts from its end state
+through SystemRunner.at.
 All nondeterminism for sample i is keyed on (seed, i) and never on the
 symbol, so a protection mode that actually removes the medium produces
 bit-identical probe latencies for both symbols and therefore exactly zero
@@ -289,9 +290,10 @@ def _probe_pair(cfg: RunConfig, options: RunOptions, seed: object, index: int,
     """Probe latencies of one sample, for symbol 0 and for symbol 1.
 
     Both symbols share the prime slice and the switch after it, so that part
-    runs once and each symbol goes on in its own fork.  The probe is in the
-    spy's next slice; any other domains idle in between.  A fork stops at the
-    probe step: the switch after it feeds no measurement.  Any failure aborts.
+    runs once, and each symbol's run starts from the state it ends in.  The
+    probe is in the spy's next slice; any other domains idle in between.  A
+    symbol's run stops at the probe step: the switch after it feeds no
+    measurement.  Any failure, of the prime run or of a symbol's, aborts.
     """
     spy, trojan = cfg.policy.domain_ids()[:2]
     probe_slice = len(cfg.policy.domains)
@@ -301,15 +303,17 @@ def _probe_pair(cfg: RunConfig, options: RunOptions, seed: object, index: int,
     runner = SystemRunner(cfg, f"{seed}:s{index}", options)
     for _ in runner.transitions(slices=1, schedule={spy: spy_batches}):
         pass
+    if runner.failures:
+        raise RunError(runner.failures[0])
     latencies = []
     for signal in (Input(kind=NOOP), Input(kind=SYS_READ, obj=trojan_obj)):
-        twin = runner.fork()
+        run = SystemRunner.at(cfg, runner.seed, options, runner.abstract, runner.micro, 1)
         schedule = {spy: spy_batches, trojan: [[signal]]}
-        probe = next(r for r in twin.transitions(slices=probe_slice + 1, schedule=schedule)
+        probe = next(r for r in run.transitions(slices=probe_slice + 1, schedule=schedule)
                      if r.slice_index == probe_slice and r.kind != "switch")
-        twin.finish()
-        if twin.failures:
-            raise RunError(twin.failures[0])
+        run.finish()
+        if run.failures:
+            raise RunError(run.failures[0])
         latencies.append(probe.clock_delta)
     return latencies[0], latencies[1]
 

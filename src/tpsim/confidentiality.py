@@ -72,12 +72,11 @@ def observer_view(abstract: AbstractState, micro: MicroArchState, observer: int,
         for o in sorted(abstract.objects.values(), key=lambda o: o.ident)
         if o.owner == observer
     )
-    ta = frozenset(abstract.ta) if role == "executing" else None
     return ObserverView(
         observer=observer,
         role=role,
         objects=objs,
-        ta=ta,
+        ta=abstract.ta if role == "executing" else None,
         micro=visible_projection(micro, observer, policy, role, g),
     )
 

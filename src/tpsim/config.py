@@ -69,10 +69,11 @@ class Input:
             raise ValueError("a raw_access input needs a vaddr")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectSpec:
-    """A kernel object.  The scenario declares each one, and every run works
-    on its own copies, whose allocation and payload it changes."""
+    """A kernel object.  The scenario declares each one, and runs share them:
+    a run that allocates or writes an object replaces it in its next state,
+    with a new payload dict, and never changes an object in place."""
 
     ident: str
     owner: int
@@ -398,8 +399,10 @@ def _check_objects(cfg: RunConfig) -> None:
 
 
 def worst_input_cost(cfg: RunConfig, kind: str, kernel_ops: int) -> int:
-    """Most cycles an input of kind can take: each op a miss that evicts, at top jitter."""
-    user_ops = {NOOP: 0, RAW_ACCESS: cfg.geometry.lines_per_page}.get(kind, cfg.analysis.trace_budget)
+    """Most cycles an input of kind can take: each op a miss that evicts, at top jitter.
+    The selector pads any footprint, a raw access's one page included, to
+    trace_budget ops."""
+    user_ops = 0 if kind == NOOP else cfg.analysis.trace_budget
     return (kernel_ops + user_ops) * (cfg.cost_model.miss_evict_cost + cfg.cost_model.jitter)
 
 

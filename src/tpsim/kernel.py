@@ -25,10 +25,9 @@ follow a fixed order.
 
 from __future__ import annotations
 
-import copy
 import functools
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .config import (
     HONEST_MECHANISM,
@@ -90,14 +89,17 @@ class Failure:
         return f"{self.kind}: {self.detail}"
 
 
-@dataclass
-class AbstractState:
-    """What a run changes of the kernel; the config holds everything else."""
+class AbstractState(NamedTuple):
+    """What a run changes of the kernel; the config holds everything else.
 
-    objects: dict[str, ObjectSpec]   # the run's own copies
+    A value: each transition builds the next state with _replace, and never
+    changes a state, its objects mapping or an object in place.
+    """
+
+    objects: Mapping[str, ObjectSpec]
     current: int
     slot_remaining: int
-    ta: set[int]                 # virtual pages retrieved since the last switch
+    ta: frozenset[int]           # virtual pages retrieved since the last switch
 
 
 @dataclass
@@ -119,11 +121,11 @@ class StepRecord:
         return self.s_mu_after.clock - self.s_mu_before.clock
 
 
-def get_object(state: AbstractState, ident: str, page_size: int) -> ObjectSpec:
-    """Retrieve an object, recording all of its pages into the touched set."""
+def get_object(state: AbstractState, ident: str,
+               page_size: int) -> tuple[AbstractState, ObjectSpec]:
+    """Retrieve an object; the next state's touched set holds all of its pages."""
     obj = state.objects[ident]
-    state.ta.update(obj.pages(page_size))
-    return obj
+    return state._replace(ta=state.ta | obj.pages(page_size)), obj
 
 
 def access_mem(state: AbstractState, v: int, page_size: int) -> Failure | None:
@@ -203,13 +205,6 @@ def _kernel_walks(policy: DomainPolicy, g: CacheGeometry) -> tuple[Trace, dict[i
     return tuple(Read(KERNEL_VBASE + a, a) for a in sorted(policy.kernel_globals)), images
 
 
-def _own_copies(objects: Iterable[ObjectSpec]) -> dict[str, ObjectSpec]:
-    """Copies of objects, keyed by id, that a run may change.  Built field by
-    field: dataclasses.replace would double the cost of starting a run."""
-    return {o.ident: ObjectSpec(o.ident, o.owner, o.base, o.size, o.allocated, dict(o.payload))
-            for o in objects}
-
-
 class SystemRunner:
     """Drives one system run: alternating timeslices and domain switches."""
 
@@ -224,16 +219,26 @@ class SystemRunner:
         # The fixed kernel walks, shared by every runner of the policy.
         self.globals_walk, self.image_walks = _kernel_walks(self.policy, self.g)
         self.abstract = AbstractState(
-            objects=_own_copies(cfg.scenario.objects),
+            objects={o.ident: o for o in cfg.scenario.objects},
             current=self.policy.domains[0].ident,
             slot_remaining=self.policy.slice_length,
-            ta=set(),
+            ta=frozenset(),
         )
         self.micro = self._initial_micro()
         self.slice_index = 0
         self.failures: list[Failure] = []
         self._deferred: dict[int, list[Input]] = {d: [] for d in self.policy.domain_ids()}
         self._step_in_slice = 0
+
+    @classmethod
+    def at(cls, cfg: RunConfig, seed: object, options: RunOptions | None,
+           abstract: AbstractState, micro: MicroArchState, slice_index: int) -> "SystemRunner":
+        """A runner whose next slice is slice_index, from the state (abstract,
+        micro), with no inputs deferred and no failures.  The state need not
+        be one that any run of the config reaches."""
+        runner = cls(cfg, seed, options)
+        runner.abstract, runner.micro, runner.slice_index = abstract, micro, slice_index
+        return runner
 
     # -- construction helpers --
 
@@ -285,75 +290,49 @@ class SystemRunner:
 
     # -- abstract semantics --
 
-    def _resolve_alloc(self, domain: int) -> ObjectSpec | None:
-        pool = [
-            o for o in self.abstract.objects.values()
-            if o.owner == domain and not o.allocated
-        ]
-        pool.sort(key=lambda o: o.ident)
-        return pool[0] if pool else None
-
-    def _run_abstract(self, input: Input, domain: int) -> tuple[list[Failure], set[int]]:
+    def _run_abstract(self, input: Input,
+                      domain: int) -> tuple[AbstractState, list[Failure], set[int]]:
         """Execute the abstract semantics of one input.
 
-        Returns (failures, footprint pages).  The touched set grows as a side
-        effect.
+        Returns (next abstract state, failures, footprint pages).
         """
-        failures: list[Failure] = []
-        footprint: set[int] = set()
         st = self.abstract
         psz = self.amap.page_size
-
         if input.kind == NOOP:
-            return failures, footprint
-
+            return st, [], set()
         if input.kind == RAW_ACCESS:
-            v = input.vaddr
-            f = access_mem(st, v, psz)
-            if f:
-                failures.append(f)
-            else:
-                footprint.add(v - (v % psz))
-            return failures, footprint
-
+            f = access_mem(st, input.vaddr, psz)
+            return (st, [f], set()) if f else (st, [], {input.vaddr - input.vaddr % psz})
         if input.kind == SYS_ALLOC:
-            obj = self._resolve_alloc(domain)
-            if obj is None:
-                return failures, footprint   # pool exhausted
-            get_object(st, obj.ident, psz)
-            footprint |= obj.pages(psz)
-            obj.allocated = True
-            obj.payload.clear()
+            pool = [o for o in st.objects.values() if o.owner == domain and not o.allocated]
+            if not pool:
+                return st, [], set()   # pool exhausted
+            st, obj = get_object(st, min(pool, key=lambda o: o.ident).ident, psz)
+            st = st._replace(objects={**st.objects,
+                                      obj.ident: replace(obj, allocated=True, payload={})})
             f = access_mem(st, obj.base, psz)
-            if f:
-                failures.append(f)
-            return failures, footprint
+            return st, [f] if f else [], set(obj.pages(psz))
+        if input.obj not in st.objects:
+            return st, [Failure("bad-input", f"unknown object {input.obj!r}")], set()
 
-        obj = st.objects.get(input.obj or "")
-        if obj is None:
-            failures.append(Failure("bad-input", f"unknown object {input.obj!r}"))
-            return failures, footprint
-
-        get_object(st, obj.ident, psz)
-        footprint |= obj.pages(psz)
+        st, obj = get_object(st, input.obj, psz)
         offset = input.offset % max(obj.size, 1)
-        write = input.kind in (USER_WRITE, SYS_WRITE)
         f = access_mem(st, obj.base + offset, psz)
-        if f:
-            failures.append(f)
-        elif write:
-            obj.payload[offset] = input.byte & 0xFF
+        if not f and input.kind in (USER_WRITE, SYS_WRITE):
+            byte = input.byte & 0xFF
+            objects = {**st.objects, obj.ident: replace(obj, payload={**obj.payload, offset: byte})}
             if self.options.ta_leak not in (None, domain):
-                self._leak_byte(input.byte & 0xFF)
-        return failures, footprint
+                objects = self._leak_byte(objects, byte)
+            st = st._replace(objects=objects)
+        return st, [f] if f else [], set(obj.pages(psz))
 
-    def _leak_byte(self, byte: int) -> None:
+    def _leak_byte(self, objects: Mapping[str, ObjectSpec], byte: int) -> Mapping[str, ObjectSpec]:
         # Deliberate confidentiality bug: copy a byte written by another domain
         # into the first object owned by the receiving domain, without tracking.
-        for o in sorted(self.abstract.objects.values(), key=lambda o: o.ident):
+        for o in sorted(objects.values(), key=lambda o: o.ident):
             if o.owner == self.options.ta_leak:
-                o.payload[0] = byte
-                return
+                return {**objects, o.ident: replace(o, payload={**o.payload, 0: byte})}
+        return objects
 
     # -- cost bounds for the deferral rule --
 
@@ -364,13 +343,11 @@ class SystemRunner:
 
     def step(self, input: Input) -> StepRecord:
         """Apply one input of the current domain and return its record."""
-        st = self.abstract
-        domain = st.current
-        ta_before = frozenset(st.ta)
+        before = self.abstract
+        domain = before.current
         mu_before = self.micro
-        slot_before = st.slot_remaining
 
-        failures, footprint = self._run_abstract(input, domain)
+        st, failures, footprint = self._run_abstract(input, domain)
         kind = "kernel-call" if input.kind in KERNEL_CALLS else "user"
 
         ok, witnesses = partition_subset_invariant(
@@ -408,16 +385,17 @@ class SystemRunner:
             kernel_trace, trace = applied[:len(kernel_trace)], applied[len(kernel_trace):]
 
             delta = self.micro.clock - mu_before.clock
-            if delta > slot_before:
+            if delta > before.slot_remaining:
                 failures.append(Failure(
                     kind="slot-overrun",
-                    detail=f"step cost {delta} exceeded remaining slot {slot_before}",
+                    detail=f"step cost {delta} exceeded remaining slot {before.slot_remaining}",
                 ))
-            st.slot_remaining = slot_before - delta
+            st = st._replace(slot_remaining=before.slot_remaining - delta)
+        self.abstract = st
 
         record = StepRecord(
             kind=kind, slice_index=self.slice_index, domain=domain, input=input,
-            ta_before=ta_before, ta_after=frozenset(st.ta),
+            ta_before=before.ta, ta_after=st.ta,
             kernel_trace=kernel_trace, trace=trace,
             s_mu_before=mu_before, s_mu_after=self.micro,
             failures=tuple(failures),
@@ -439,7 +417,6 @@ class SystemRunner:
                 f"domain switch before the timer tick: {st.slot_remaining} cycles left"
             )
         old = st.current
-        ta_before = frozenset(st.ta)
         mu_before = self.micro
         failures: list[Failure] = []
         if self.micro.clock > tick:
@@ -462,9 +439,8 @@ class SystemRunner:
 
         kernel_trace = self._apply(kernel_trace, self._oracle(old, "old_clean"), failures)
 
-        # Phase 3, mechanism: scrub and pad.  The touched set is emptied here
-        # and only here.
-        st.ta.clear()
+        # Phase 3, mechanism: scrub and pad.  The next state's touched set is
+        # empty; no other transition empties it.
         template = tuple(op for cls in self.options.mechanism
                          for op in _TEMPLATE_OPS[cls](self, deadline))
         mechanism_ops = self._apply(template, self._oracle(KERNEL_DOMAIN, "mechanism"),
@@ -472,15 +448,14 @@ class SystemRunner:
 
         # Phase 4, new_clean: install the next domain.  Pure bookkeeping, no
         # timed accesses, so the post-switch clock stays at the deadline.
-        new = self._next_domain(old)
-        st.current = new
-        st.slot_remaining = self.policy.slice_length
+        self.abstract = st._replace(current=self._next_domain(old),
+                                    slot_remaining=self.policy.slice_length, ta=frozenset())
 
         failures.extend(self._switch_postcondition_failures(deadline))
 
         record = StepRecord(
             kind="switch", slice_index=self.slice_index, domain=old, input=None,
-            ta_before=ta_before, ta_after=frozenset(),
+            ta_before=st.ta, ta_after=self.abstract.ta,
             kernel_trace=kernel_trace, trace=mechanism_ops,
             s_mu_before=mu_before, s_mu_after=self.micro,
             failures=tuple(failures),
@@ -538,20 +513,6 @@ class SystemRunner:
                 self.failures.append(Failure("starved", f"domain {domain}: {len(queue)} "
                                                         f"input(s) still deferred when the run ended"))
 
-    def fork(self) -> "SystemRunner":
-        """An independent runner at the same point of the run.
-
-        The abstract state, the deferred inputs and the failures are copied;
-        the hardware state is immutable and shared.
-        """
-        twin = copy.copy(self)
-        st = self.abstract
-        twin.abstract = AbstractState(_own_copies(st.objects.values()), st.current,
-                                      st.slot_remaining, set(st.ta))
-        twin._deferred = {d: list(q) for d, q in self._deferred.items()}
-        twin.failures = list(self.failures)
-        return twin
-
     def _slices(self, slices: int | None,
                 schedule: dict[int, list[list[Input]]] | None) -> Iterator[StepRecord]:
         total = slices if slices is not None else self.cfg.scenario.slices
@@ -588,7 +549,7 @@ class SystemRunner:
             # that ran past it is a failure of the switch that follows.
             if self.micro.clock < tick:
                 self.micro = self.micro._replace(clock=tick)
-            self.abstract.slot_remaining = 0
+            self.abstract = self.abstract._replace(slot_remaining=0)
 
             yield self.domain_switch(tick)
             self.slice_index += 1

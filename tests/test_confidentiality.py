@@ -213,7 +213,9 @@ def test_low_equiv_and_observer_view(ref_cfg):
     assert diff(mu2, 1).startswith("micro.sets")
 
     # abstract difference: payload byte
-    r2.abstract.objects["s_buf"].payload[3] = 99
+    s_buf = r2.abstract.objects["s_buf"]
+    s_buf = dataclasses.replace(s_buf, payload={**s_buf.payload, 3: 99})
+    r2.abstract = r2.abstract._replace(objects={**r2.abstract.objects, "s_buf": s_buf})
     assert diff(r2.micro, 0) == "objects[s_buf].payload"
 
     v = observer_view(r1.abstract, r1.micro, 0, ref_cfg.policy, g)

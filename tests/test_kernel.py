@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from tpsim.channel import PROTECTIONS, _attack_objects, attack_variant
+from tpsim.channel import PROTECTIONS, _attack_objects, attack_variant, measure_channel
+from tpsim.checks import run_suite
+from tpsim.confidentiality import check_confidentiality
 from tpsim.config import (
     HONEST_MECHANISM,
     NOOP,
@@ -19,6 +21,7 @@ from tpsim.config import (
     USER_WRITE,
     Input,
     _parse_batch,
+    load_config,
     worst_switch_cost,
 )
 from tpsim.core import KERNEL_DOMAIN, ModelError, PolicyError, set_index_of
@@ -31,6 +34,7 @@ from tpsim.kernel import (
     record_to_dict,
 )
 from tpsim.microarch import (
+    CacheSet,
     NondetOracle,
     OffCoreFlush,
     OnCoreFlush,
@@ -62,8 +66,7 @@ def test_worst_case_cost_formula(ref_cfg):
     assert r.worst_case_cost(Input(NOOP)) == 0
     assert r.worst_case_cost(Input(USER_READ, obj="s_buf")) == budget * per_op
     assert r.worst_case_cost(Input(SYS_READ, obj="s_buf")) == (walk + budget) * per_op
-    assert (r.worst_case_cost(Input(RAW_ACCESS, vaddr=0x10000))
-            == ref_cfg.geometry.lines_per_page * per_op)
+    assert r.worst_case_cost(Input(RAW_ACCESS, vaddr=0x10000)) == budget * per_op
 
 
 def test_step_cost_never_exceeds_worst_case(ref_cfg):
@@ -76,7 +79,20 @@ def test_step_cost_never_exceeds_worst_case(ref_cfg):
         wc = r.worst_case_cost(inp)
         rec = r.step(inp)
         assert rec.clock_delta <= wc
-        r.abstract.slot_remaining = ref_cfg.policy.slice_length  # keep the slot open
+        r.abstract = r.abstract._replace(slot_remaining=ref_cfg.policy.slice_length)  # keep the slot open
+    # A raw access from a state whose every set is full of foreign lines: each
+    # op misses and evicts, and the selector pads the one page to the budget.
+    g = ref_cfg.geometry
+    full = tuple(CacheSet(ways=tuple((0x100000 * (w + 1) + g.line_size * i, 1)
+                                     for w in range(g.num_ways)))
+                 for i in range(g.num_sets))
+    raw = Input(RAW_ACCESS, vaddr=0x10000)
+    for seed in range(300):
+        r = SystemRunner(ref_cfg, seed=seed)
+        r.step(Input(USER_READ, obj="s_buf"))
+        r.micro = r.micro._replace(sets=full)
+        rec = r.step(raw)
+        assert rec.failures == () and rec.clock_delta <= r.worst_case_cost(raw), seed
 
 
 def test_get_object_grows_the_touched_set(ref_cfg):
@@ -174,7 +190,7 @@ def test_sys_alloc_draws_from_the_pool(ref_cfg):
     assert rec.kind == "kernel-call"
     assert r.abstract.objects["s_pool"].allocated
     assert 0x10C00 in r.abstract.ta
-    # The run changed its own copy, not the config's object.
+    # The run replaced the object in its own state; the config's object is unchanged.
     assert not next(o for o in ref_cfg.scenario.objects if o.ident == "s_pool").allocated
     # pool is now empty: the call still enters the kernel but does nothing
     rec2 = r.step(Input(SYS_ALLOC))
@@ -191,7 +207,7 @@ def test_switch_requires_an_expired_slot(ref_cfg):
 def test_run_rejects_a_rotation_out_of_turn(ref_cfg):
     """A raised error, not an assert, so that python -O keeps the check."""
     r = SystemRunner(ref_cfg, seed=6)
-    r.abstract.current = ref_cfg.policy.domain_ids()[1]
+    r.abstract = r.abstract._replace(current=ref_cfg.policy.domain_ids()[1])
     with pytest.raises(ModelError, match="out of sync with rotation"):
         next(r.transitions(slices=2))     # raises before it yields anything
 
@@ -425,49 +441,57 @@ def test_record_inputs_read_back_as_scenario_inputs(ref_cfg):
         assert _parse_batch([d["input"]], sizes, "record") == [rec.input]
 
 
+def _assert_same_records(got, want, *context):
+    assert len(got) == len(want), context
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(StepRecord):
+            assert getattr(a, f.name) == getattr(b, f.name), (*context, f.name)
+
+
+@pytest.mark.parametrize("config", ["ref_cfg", "adv_cfg", "three_cfg"])
+def test_at_the_initial_state_is_a_new_runner(request, config):
+    cfg = request.getfixturevalue(config)
+    start = SystemRunner(cfg, seed=31)
+    run = SystemRunner.at(cfg, 31, None, start.abstract, start.micro, 0)
+    _, whole = _run(cfg, seed=31)
+    _assert_same_records(list(run.transitions()), whole)
+    assert run.failures == []
+
+
 @pytest.mark.parametrize("config", ["ref_cfg", "adv_cfg"])
-def test_forked_probe_runs_match_unforked_runs(request, config):
-    """Fork after the prime slice's switch, go on to the probe step: every
-    record up to it equals the unforked run's, in every field."""
+def test_at_the_prime_slices_end_goes_on_as_the_whole_run(request, config):
+    """A runner started with at() where the prime slice's switch left the
+    state yields the whole run's records from there, in every field."""
     cfg = request.getfixturevalue(config)
     for protection in PROTECTIONS:
         acfg, options = attack_variant(cfg, protection)
         prime_obj, probe_obj, trojan_obj = _attack_objects(acfg)
         spy, trojan = acfg.policy.domain_ids()[:2]
         spy_batches = [[Input(USER_READ, obj=prime_obj)], [Input(SYS_READ, obj=probe_obj)]]
-        runner = SystemRunner(acfg, seed=protection, options=options)
-        prefix = list(runner.transitions(slices=1, schedule={spy: spy_batches}))
+        prime = SystemRunner(acfg, seed=protection, options=options)
+        prefix = list(prime.transitions(slices=1, schedule={spy: spy_batches}))
         for signal in (Input(NOOP), Input(SYS_READ, obj=trojan_obj)):
             schedule = {spy: spy_batches, trojan: [[signal]]}
             _, whole = _run(acfg, seed=protection, options=options,
                             slices=3, schedule=schedule)
-            forked = list(prefix)
-            for rec in runner.fork().transitions(slices=3, schedule=schedule):
-                forked.append(rec)
-                if rec.slice_index == 2 and rec.kind != "switch":
-                    break
-            assert len(forked) == len(whole) - 1       # all but the last switch
-            for a, b in zip(forked, whole):
-                for f in dataclasses.fields(StepRecord):
-                    assert getattr(a, f.name) == getattr(b, f.name), (protection, signal, f.name)
+            run = SystemRunner.at(acfg, protection, options, prime.abstract, prime.micro, 1)
+            rest = list(run.transitions(slices=3, schedule=schedule))
+            _assert_same_records(prefix + rest, whole, protection, signal)
 
 
-def test_a_fork_shares_no_mutable_state_with_its_parent(ref_cfg):
-    r = SystemRunner(ref_cfg, seed=21)
+def test_runs_never_change_states_objects_or_the_config(config_dir):
+    """States and objects are values: a field cannot be assigned, and no
+    entry point changes the config's objects, which every run shares."""
+    cfg = load_config(config_dir / "reference.yaml")
+    r = SystemRunner(cfg, seed=41)
     r.step(Input(USER_WRITE, obj="s_buf", offset=1, byte=5))
-    r._deferred[0].append(Input(NOOP))
-    before = (dict(r.abstract.objects["s_buf"].payload), set(r.abstract.ta),
-              {d: list(q) for d, q in r._deferred.items()}, list(r.failures), r.micro)
-
-    twin = r.fork()
-    twin.step(Input(USER_WRITE, obj="s_buf", offset=2, byte=9))    # payload byte
-    twin.step(Input(USER_READ, obj="s_probe"))                      # touched page
-    twin.failures.append(twin.step(Input(RAW_ACCESS, vaddr=0x20000)).failures[0])   # a failure
-    twin._deferred[0].append(Input(USER_READ, obj="s_buf"))        # deferred input
-    twin._deferred[1].append(Input(NOOP))
-
-    assert twin.abstract.objects["s_buf"].payload == {1: 5, 2: 9}
-    assert twin.abstract.ta > before[1] and twin.failures and twin.micro != before[4]
-    after = (dict(r.abstract.objects["s_buf"].payload), set(r.abstract.ta),
-             {d: list(q) for d, q in r._deferred.items()}, list(r.failures), r.micro)
-    assert after == before
+    with pytest.raises(AttributeError):
+        r.abstract.objects["s_buf"].allocated = False
+    with pytest.raises(AttributeError):
+        r.abstract.ta = frozenset()
+    for protection in ("off", "on"):
+        measure_channel(cfg, protection, seed=41, samples_per_symbol=5)
+    for mutation in ("ta-leak", "bad-colouring"):
+        check_confidentiality(cfg, 0, 5, seed=41, mutation=mutation)
+    run_suite(cfg, "all", 20, seed=41)
+    assert cfg.scenario.objects == load_config(config_dir / "reference.yaml").scenario.objects
