@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 import yaml
 
@@ -73,14 +74,23 @@ class Input:
 class ObjectSpec:
     """A kernel object.  The scenario declares each one, and runs share them:
     a run that allocates or writes an object replaces it in its next state,
-    with a new payload dict, and never changes an object in place."""
+    and never changes one in place.  The payload is a read-only view of a copy
+    of the mapping given, so no run can write through it to the others."""
 
     ident: str
     owner: int
     base: int          # virtual byte address
     size: int          # bytes
     allocated: bool = True
-    payload: dict[int, int] = field(default_factory=dict)   # sparse offset -> byte
+    payload: Mapping[int, int] = field(default_factory=dict)   # sparse offset -> byte
+
+    def __post_init__(self):
+        object.__setattr__(self, "payload", MappingProxyType(dict(self.payload)))
+
+    def __reduce__(self):
+        # A view cannot be pickled; the payload goes as a dict.
+        return ObjectSpec, (self.ident, self.owner, self.base, self.size, self.allocated,
+                            dict(self.payload))
 
     def pages(self, page_size: int) -> frozenset[int]:
         """The virtual pages the object spans."""

@@ -26,7 +26,6 @@ runs can share exactly the nondeterminism they are meant to share.
 from __future__ import annotations
 
 import functools
-import random
 import struct
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
@@ -107,8 +106,8 @@ Trace = tuple[TraceOp, ...]
 Entry = tuple[int, int]  # (line-aligned physical tag, cachedness level >= 1)
 
 
-# The state records are named tuples: immutable, cheap to build, and their
-# repr is the text that digests hash.  Derive a changed copy with _replace.
+# The state records are named tuples of plain ints, Nones and tuples: immutable
+# and cheap to build.  Derive a changed copy with _replace.
 
 class CacheSet(NamedTuple):
     ways: tuple[Optional[Entry], ...]
@@ -145,55 +144,51 @@ def flushable_reset(words: int) -> tuple[int, ...]:
 # --- nondeterminism oracle --------------------------------------------------
 
 class NondetOracle:
-    """A replayable stream of opaque words.
+    """A replayable stream of opaque 64-bit words.
 
     Under-defined hardware updates (flushable mixing, per-operation jitter)
     consume words from here and from nowhere else.  Two oracles built from the
     same key, or over the same explicit word list, produce identical streams,
-    which is what makes run pairs alignable.  A keyed oracle seeds its
-    generator at its first draw: many runs build oracles that never draw.
+    which is what makes run pairs alignable.
+
+    A keyed oracle's word i is bytes 8i to 8i + 8 of SHAKE-128 of the key's
+    UTF-8 text, read little-endian: a pure function of (key, i), so no word
+    depends on how the draws before it were split up.  The stream is read at
+    the first draw, since many runs build oracles that never draw, and read
+    further, to at least twice its length, when the words read run out.
     """
 
     def __init__(self, key: str | None = None, words: Iterable[int] | None = None):
         if (key is None) == (words is None):
             raise ValueError("provide exactly one of key or words")
         self._key = key
-        self._rng: random.Random | None = None
-        self._words = None if words is None else list(words)
-        self._pos = 0
+        self._words: tuple[int, ...] = () if words is None else tuple(w & _WORD_MASK for w in words)
         self.consumed = 0
 
-    def _generator(self) -> random.Random:
-        if self._rng is None:
-            self._rng = random.Random(self._key)
-        return self._rng
+    def _read(self, n: int) -> None:
+        """Make at least n words available, if the oracle is keyed."""
+        if self._key is not None:
+            import hashlib    # here, not at the top: loading a config draws no word
+            n = max(n, 2 * len(self._words), 21)    # a SHAKE-128 block is 21 words
+            self._words = struct.unpack(f"<{n}Q", hashlib.shake_128(self._key.encode()).digest(8 * n))
 
     def next_word(self) -> int:
-        self.consumed += 1
-        if self._rng is not None:
-            return self._rng.getrandbits(64)
-        if self._words is None:
-            return self._generator().getrandbits(64)
-        if self._pos >= len(self._words):
-            raise ModelError("nondeterminism oracle ran out of words")
-        w = self._words[self._pos]
-        self._pos += 1
-        return w & _WORD_MASK
+        i = self.consumed
+        self.consumed = i + 1    # a draw that finds no word counts too
+        if i >= len(self._words):
+            self._read(i + 1)
+            if i >= len(self._words):
+                raise ModelError("nondeterminism oracle ran out of words")
+        return self._words[i]
 
     def next_words(self, n: int) -> tuple[int, ...]:
         """The words n next_word calls would return, drawn at once.  A word
-        list gives only the words it has left; the next next_word raises.
-
-        A keyed oracle takes them from one getrandbits(64 * n), which CPython
-        fills 32 bits at a time, low first, exactly as n getrandbits(64) calls.
-        """
-        if self._words is None:
-            self.consumed += n
-            raw = self._generator().getrandbits(64 * n).to_bytes(8 * n, "little")
-            return struct.unpack(f"<{n}Q", raw)
-        out = tuple(w & _WORD_MASK for w in self._words[self._pos:self._pos + n])
-        self._pos += len(out)
-        self.consumed += len(out)
+        list gives only the words it has left; the next next_word raises."""
+        i = self.consumed
+        if i + n > len(self._words):
+            self._read(i + n)
+        out = self._words[i:i + n]
+        self.consumed = i + len(out)
         return out
 
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import marshal
 import random
 import struct
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb, perm
 from operator import and_
 from typing import Iterable, NamedTuple
@@ -29,6 +30,7 @@ from .microarch import (
     CacheSet,
     Entry,
     MicroArchState,
+    NondetOracle,
     Read,
     Trace,
     TraceOp,
@@ -38,61 +40,54 @@ from .microarch import (
 )
 
 
-def _digest_text(text: str) -> str:
-    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
-
-
-def _digest(parts: Iterable[object]) -> str:
-    """Hash of each part's repr, each followed by a 0x1f byte."""
-    return _digest_text("".join(f"{part!r}\x1f" for part in parts))
-
-
-@functools.lru_cache(maxsize=512)
-def _visible_set_text(item: tuple[int, CacheSet]) -> str:
-    # Named-tuple reprs run in Python; a round of probe runs shows a few
-    # hundred distinct sets.  The state records hold ints only, so equal
-    # keys have equal reprs.
-    return repr(item)
+def _digest(head: object, sets: Iterable[tuple[int, CacheSet]] = ()) -> str:
+    """Hash of marshal's version 2 encoding of head, then of each (index, ways,
+    meta) of sets, one set at a time in the order given.  Version 2 records no
+    object sharing (3 and later do), so equal ints, Nones, strs and tuples of
+    them encode alike however they were built.  Each encoding says where it
+    ends, and head carries the number of sets."""
+    dumps = marshal.dumps
+    encoded = [dumps(head, 2), *[dumps((i, ways, meta), 2) for i, (ways, meta) in sets]]
+    return hashlib.blake2b(b"".join(encoded), digest_size=16).hexdigest()
 
 
 def projection_digest(vp: VisibleProjection) -> str:
-    """_digest([vp.role, vp.flushable, vp.visible_sets, vp.clock]), with the
-    text of visible_sets put together from cached per-set text."""
-    texts = [_visible_set_text(item) for item in vp.visible_sets]
-    sets = "(" + ", ".join(texts) + ("," if len(texts) == 1 else "") + ")"
-    return _digest_text(f"{vp.role!r}\x1f{vp.flushable!r}\x1f{sets}\x1f{vp.clock!r}\x1f")
+    """Digest of the projection's values: role, flushable words (or None),
+    the number of visible sets and the clock (or None), then each visible set's
+    index, ways and metadata in index order."""
+    return _digest((vp.role, vp.flushable, len(vp.visible_sets), vp.clock), vp.visible_sets)
 
 
 def full_state_digest(state: MicroArchState) -> str:
-    """Digest over the whole state, hidden sets included.  Only the peeking
-    selector variant uses this; everything legitimate uses the projection."""
-    return _digest([state.flushable, state.sets, state.clock])
+    """Digest over the whole state, hidden sets included, encoded as
+    projection_digest encodes a projection.  Only the peeking selector variant
+    uses this; everything legitimate uses the projection."""
+    return _digest((state.flushable, len(state.sets), state.clock), enumerate(state.sets))
 
 
-def _shuffle(grb, x: list) -> None:
-    """rng.shuffle(x), word for word, by grb = rng.getrandbits alone."""
-    for i in range(len(x) - 1, 0, -1):
-        w = (i + 1).bit_length()
-        while (j := grb(w)) > i:
-            pass
-        x[i], x[j] = x[j], x[i]
-
-
-@functools.lru_cache(maxsize=32)
-def _footprint_plan(pages: tuple[int, ...], amap: AddressMap, budget: int, line_size: int
-                    ) -> tuple[str, tuple[tuple[int, Read | None, Write | None], ...]]:
-    """What select_trace needs of a footprint besides the projection and the
-    seed: its digest, and each permitted line with its read and its write
-    (None and None for a line of an unmapped page)."""
+@functools.lru_cache(maxsize=64)
+def _page_plan(vpage: int, amap: AddressMap, line_size: int
+               ) -> tuple[tuple[int, Read | None, Write | None], ...]:
+    """Each line of a page with its read and its write (None and None for a
+    line of an unmapped page)."""
     lines = []
-    for v in (vpage + off for vpage in pages for off in range(0, amap.page_size, line_size)):
+    for v in range(vpage, vpage + amap.page_size, line_size):
         try:
             p = amap.translate(v)
         except TranslationFault:
             lines.append((v, None, None))
         else:
             lines.append((v, Read(v, p), Write(v, p)))
-    return _digest([list(pages), amap.digest_key(), budget]), tuple(lines)
+    return tuple(lines)
+
+
+@functools.lru_cache(maxsize=32)
+def _footprint_plan(pages: tuple[int, ...], amap: AddressMap, budget: int, line_size: int
+                    ) -> tuple[str, tuple[tuple[int, Read | None, Write | None], ...]]:
+    """What select_trace needs of a footprint besides the projection and the
+    seed: its digest, and its pages' lines in order."""
+    lines = tuple(chain.from_iterable(_page_plan(vpage, amap, line_size) for vpage in pages))
+    return _digest((pages, amap.digest_key(), budget)), lines
 
 
 def select_trace(
@@ -108,9 +103,14 @@ def select_trace(
     """Choose a trace of reads and writes over the touched set's lines, at
     most budget long.
 
-    The result depends on exactly (ta, visible, amap, budget, seed): the
-    random source is the seed combined with a digest of the visible
-    projection, so hidden state cannot influence the choice.
+    The result depends on exactly (ta, visible, amap, budget, seed): every
+    choice takes words from one NondetOracle keyed by the seed and digests of
+    the visible projection and the footprint, so hidden state cannot influence
+    it.  Of n lines, with m = min(n, budget), the first 2 + n + m words are a
+    mode, a size, a sort key per line and a write word per position.  Of the
+    lines sorted on their keys, 90% of modes take the first m, 5% the first
+    1 + size % m, and 5% the first m and then, while under budget, a word to
+    go on (70%), a line and its write word.  A quarter of write words write.
     """
     if budget < 1:
         raise ValueError(f"trace budget must be >= 1, got {budget}")
@@ -119,31 +119,25 @@ def select_trace(
         return ()
 
     footprint, lines = _footprint_plan(ta_pages, amap, budget, line_size)
-    key = ":".join([
+    oracle = NondetOracle(key=":".join([
         "select", str(seed), projection_digest(visible), footprint, extra_entropy,
-    ])
-    rng = random.Random(key)
-
-    # Each choice below picks lines by position only, so choosing among the
-    # plan's entries picks the lines it would pick among bare lines.
-    mode = rng.random()
-    if 0.90 <= mode < 0.95:
-        k = rng.randint(1, min(len(lines), budget))
-        chosen = rng.sample(lines, k)
-    else:
-        # Permutation of every permitted line, possibly truncated by budget;
-        # the top 5% of modes then pad it with repeats.
-        chosen = list(lines)
-        _shuffle(rng.getrandbits, chosen)
-        chosen = chosen[:budget]
-        while mode >= 0.95 and len(chosen) < budget and rng.random() < 0.7:
-            chosen.append(rng.choice(lines))
+    ]))
+    n, m = len(lines), min(len(lines), budget)
+    words = oracle.next_words(2 + n + m)
+    mode = words[0] * 20 >> 64      # 0-17: every line; 18: a sample; 19: padded
+    writes = list(words[2 + n:])
+    k = 1 + words[1] % m if mode == 18 else m
+    chosen = sorted(range(n), key=words[2:2 + n].__getitem__)[:k]
+    while mode == 19 and len(chosen) < budget and oracle.next_word() < 7 * 2 ** 64 // 10:
+        chosen.append(oracle.next_word() % n)
+        writes.append(oracle.next_word())
 
     ops: list[TraceOp] = []
-    for v, read, write in chosen:
+    for i, w in zip(chosen, writes):
+        v, read, write = lines[i]
         if read is None:
             raise TranslationFault(v)
-        ops.append(write if rng.random() < 0.25 else read)
+        ops.append(write if w < 1 << 62 else read)
     return tuple(ops)
 
 
@@ -159,10 +153,10 @@ def select_trace_peeking(
 ) -> Trace:
     """Mutation of select_trace that also keys on hidden state.
 
-    Identical interface and output space, but the random source additionally
-    digests the full microarchitectural state.  Two states with the same
-    visible projection but different hidden sets now produce different traces,
-    which the dependency property suite must detect.
+    Identical interface and output space, but the oracle's key additionally
+    holds a digest of the full microarchitectural state.  Two states with the
+    same visible projection but different hidden sets now produce different
+    traces, which the dependency property suite must detect.
     """
     return select_trace(
         ta, visible, amap, budget, seed,

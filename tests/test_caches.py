@@ -5,13 +5,12 @@ import pytest
 
 from tpsim import microarch, selector
 from tpsim.core import AddressMap
-from tpsim.microarch import CacheSet
 
 AMAP = AddressMap(1024, {0x10000: 0x1400, 0x10400: 0x2400})
 
 # Each cache with a call that gives a new key for every k.
 CACHES = [
-    (selector._visible_set_text, lambda k: ((k % 64, CacheSet((None, (k * 64, 1)), k)),)),
+    (selector._page_plan, lambda k: (0x10000 + 1024 * k, AMAP, 64)),
     (selector._footprint_plan, lambda k: ((0x10000 + 1024 * k,), AMAP, 64, 64)),
     (microarch._access_terms, lambda k: (k, 64 * k, 64, 64, 8)),
     (microarch._plru_masks, lambda k: (k + 1,)),

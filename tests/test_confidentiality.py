@@ -245,12 +245,12 @@ def test_an_aborting_run_notes_its_failing_record_first(ref_cfg):
         ref_cfg, policy=dataclasses.replace(ref_cfg.policy, switch_deadline=8)
     )
     rep = check_confidentiality(squeezed, 0, 5, 1)
-    pad = "pad-violation: switch work ran past the deadline (clock 8376, deadline 8200)"
+    pad = "pad-violation: switch work ran past the deadline (clock 8361, deadline 8200)"
     assert rep.hypothesis_notes == [
         f"trial 0 run A aborted: {pad}",
         f"trial 0 run A: switch slice 0: {pad}",
         "trial 0 run A: switch slice 0: switch-postcondition: "
-        "clock 8376 does not sit on the deadline 8200",
+        "clock 8361 does not sit on the deadline 8200",
         "trial 0 run A: switch slice 0: mechanism trace is "
         "['OffCoreFlush', 'OnCoreFlush'], not the exact flush/flush/pad sequence",
     ]
@@ -280,5 +280,5 @@ def test_report_is_the_same_for_any_jobs(ref_cfg, variant, mutation, policy_chan
 
 def test_a_search_that_stops_early_leaves_no_worker(ref_cfg):
     rep = check_confidentiality(ref_cfg, 0, 200, 1, mutation="no-offcore-global-flush", jobs=2)
-    assert rep.first_witness.trial == 15
+    assert rep.first_witness.trial == 7
     assert multiprocessing.active_children() == []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -495,3 +496,33 @@ def test_runs_never_change_states_objects_or_the_config(config_dir):
         check_confidentiality(cfg, 0, 5, seed=41, mutation=mutation)
     run_suite(cfg, "all", 20, seed=41)
     assert cfg.scenario.objects == load_config(config_dir / "reference.yaml").scenario.objects
+
+
+def test_a_payload_cannot_be_changed_in_place(config_dir):
+    """Runs and the config share each object's payload, so a write through
+    one run's state must raise instead of reaching the config and every later
+    run; payloads still pickle, and a run's write builds a new one."""
+    cfg = load_config(config_dir / "reference.yaml")
+    payload = SystemRunner(cfg, seed=1).abstract.objects["t_gbuf"].payload
+    with pytest.raises(TypeError):
+        payload[0] = 5
+    with pytest.raises(TypeError):
+        del payload[0]
+    assert not any(hasattr(payload, name)
+                   for name in ("update", "setdefault", "clear", "pop", "popitem"))
+    assert SystemRunner(cfg, seed=2).abstract.objects["t_gbuf"].payload == {}
+    assert all(o.payload == {} for o in cfg.scenario.objects)
+
+    r = SystemRunner(cfg, seed=3)
+    r.step(Input(USER_WRITE, obj="s_buf", offset=1, byte=5))
+    written = r.abstract.objects["s_buf"].payload
+    assert written == {1: 5} and type(written) is type(payload)
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    restored = pickle.loads(pickle.dumps(r.abstract))
+    assert restored == r.abstract
+    with pytest.raises(TypeError):
+        restored.objects["s_buf"].payload[1] = 6
+    given = {1: 2}
+    obj = dataclasses.replace(cfg.scenario.objects[0], payload=given)
+    given[1] = 3
+    assert obj.payload == {1: 2}

@@ -1,6 +1,7 @@
 """Hardware model semantics, each cost checked against a recomputation."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -110,9 +111,21 @@ def test_oracle_streams():
         NondetOracle(key="k", words=[1])
 
 
+def test_a_keyed_word_is_shake_128_of_the_key():
+    """Word i is bytes 8i to 8i + 8 of SHAKE-128 of the key, little-endian,
+    past the first block and past every read-ahead too."""
+    for key in ("k", "0:oracle:3:1:step:2", "select:x:\u00e9"):
+        o = NondetOracle(key=key)
+        got = [o.next_word() for _ in range(5)] + list(o.next_words(300))
+        stream = hashlib.shake_128(key.encode()).digest(8 * len(got))
+        assert got == [int.from_bytes(stream[8 * i:8 * i + 8], "little")
+                       for i in range(len(got))]
+
+
 def test_bulk_draws_are_the_words_of_repeated_next_word():
     """next_words(n) returns and counts what n next_word calls would, also
-    in pieces and across a seeding; a word list gives what it has left."""
+    in pieces and across the stream's read-ahead; a word list gives what it
+    has left."""
     rng = random.Random("bulk")
     for trial in range(60):
         sizes = [rng.choice([0, 1, 2, 3, 7, 64, 130]) for _ in range(4)]

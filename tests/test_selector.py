@@ -1,24 +1,26 @@
 """The trace chooser: adversarial in choice, constrained in what it can see."""
 
-import hashlib
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tpsim.core import (
-    AddressMap, CacheGeometry, DomainPolicy, DomainSpec, TranslationFault,
-)
+import tpsim
+from tpsim.core import AddressMap, CacheGeometry, DomainPolicy, DomainSpec, TranslationFault
 from tpsim.microarch import (
     CacheSet,
     MicroArchState,
     Read,
-    VisibleProjection,
     Write,
     adheres,
     visible_projection,
 )
 from tpsim.selector import (
-    _shuffle,
+    full_state_digest,
     perturb_invisible,
     projection_digest,
     select_trace,
@@ -131,15 +133,7 @@ def test_perturb_leaves_single_domain_alone():
     assert perturb_invisible(s, 0, solo, G, UNIVERSE, seed=1) is s
 
 
-# --- the cached fast paths against the text and draws they replace -----------
-
-def _reference_digest(parts):
-    h = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        h.update(repr(part).encode())
-        h.update(b"\x1f")
-    return h.hexdigest()
-
+# --- digests by value, and the selection stream --------------------------------
 
 def _random_cache_set(rng):
     ways = tuple(None if rng.random() < 0.4 else
@@ -147,79 +141,162 @@ def _random_cache_set(rng):
     return CacheSet(ways, rng.choice([0, rng.getrandbits(64)]))
 
 
-def test_projection_digest_hashes_the_projection_repr():
-    """The same bytes as _digest over the four fields; 0 and 1 visible sets
-    are where a tuple's repr has its edge cases, "()" and "(x,)"."""
-    rng = random.Random("projection-digest")
-    pool = [_random_cache_set(rng) for _ in range(40)]
-    for trial in range(400):
-        count = trial % 4 if trial < 200 else rng.randrange(70)
-        sets = tuple((rng.randrange(G.num_sets), rng.choice(pool)) for _ in range(count))
-        if rng.random() < 0.5:
-            vp = VisibleProjection("executing", tuple(rng.getrandbits(64) for _ in range(8)),
-                                   sets, rng.randrange(1 << 40))
+def _copy_int(x):
+    """An int equal to x that is a distinct object where CPython allows it."""
+    return int.from_bytes(x.to_bytes(9, "little", signed=True), "little", signed=True)
+
+
+def _rebuilt(state):
+    """state with every tuple and large int rebuilt as a new object."""
+    sets = tuple(CacheSet(tuple(None if e is None else (_copy_int(e[0]), _copy_int(e[1]))
+                                for e in s.ways), _copy_int(s.meta)) for s in state.sets)
+    return MicroArchState(tuple(map(_copy_int, state.flushable)), sets, _copy_int(state.clock))
+
+
+def _one_field_changes(vp):
+    """Projections that each differ from vp in exactly one field."""
+    i, cset = next((i, s) for i, s in vp.visible_sets if s.ways[0] is not None)
+    k = vp.visible_sets.index((i, cset))
+    tag, level = cset.ways[0]
+
+    def with_set(new_i, new_set):
+        sets = list(vp.visible_sets)
+        sets[k] = (new_i, new_set)
+        return vp._replace(visible_sets=tuple(sets))
+
+    yield vp._replace(role="suspended")
+    yield vp._replace(flushable=vp.flushable[:3] + (vp.flushable[3] ^ 1,) + vp.flushable[4:])
+    yield with_set(i, cset._replace(ways=((tag + 64, level),) + cset.ways[1:]))
+    yield with_set(i, cset._replace(ways=((tag, level % 3 + 1),) + cset.ways[1:]))
+    yield with_set(i, cset._replace(ways=(None,) + cset.ways[1:]))
+    yield with_set(i, cset._replace(meta=cset.meta ^ 1))
+    yield with_set(i + G.num_sets, cset)
+    yield vp._replace(clock=vp.clock + 1)
+
+
+def test_a_digest_depends_on_the_value_alone():
+    """Equal projections and states digest equal however their objects are
+    built or shared, and any one changed field changes the digest."""
+    rng = random.Random("value-digest")
+    shared_entry = (0x1440, 2)
+    for trial in range(100):
+        sets = [_random_cache_set(rng) for _ in range(G.num_sets)]
+        # One entry tuple shared by many sets, and one flushable word repeated.
+        for j in range(0, G.num_sets, 7):
+            sets[j] = sets[j]._replace(ways=(shared_entry,) + sets[j].ways[1:])
+        word = rng.getrandbits(64)
+        state = MicroArchState((word,) * 4 + tuple(rng.getrandbits(64) for _ in range(4)),
+                               tuple(sets), rng.randrange(1 << 40))
+        vp = _vis(state, trial % 2)
+        copies = [pickle.loads(pickle.dumps(state)), _rebuilt(state)]
+        for copy in copies:
+            assert copy == state and copy.sets[0] is not state.sets[0]
+            assert full_state_digest(copy) == full_state_digest(state)
+            assert projection_digest(_vis(copy, trial % 2)) == projection_digest(vp)
+        assert projection_digest(pickle.loads(pickle.dumps(vp))) == projection_digest(vp)
+        role = "".join(vp.role)     # equal, but not the interned literal
+        assert role is not vp.role
+        assert projection_digest(vp._replace(role=role)) == projection_digest(vp)
+
+        changed = list(_one_field_changes(vp))
+        assert len(changed) == 8 and all(c != vp for c in changed)
+        digests = {projection_digest(c) for c in changed}
+        assert projection_digest(vp) not in digests and len(digests) == len(changed)
+
+        k = next(i for i, s in enumerate(state.sets) if s.ways[0] is not None)
+        tag, level = state.sets[k].ways[0]
+        states = [state._replace(flushable=(word ^ 1,) + state.flushable[1:]),
+                  state._replace(clock=state.clock + 1)]
+        for new in (state.sets[k]._replace(ways=((tag + 64, level),) + state.sets[k].ways[1:]),
+                    state.sets[k]._replace(ways=((tag, level % 3 + 1),) + state.sets[k].ways[1:]),
+                    state.sets[k]._replace(meta=state.sets[k].meta ^ 1)):
+            states.append(state._replace(sets=state.sets[:k] + (new,) + state.sets[k + 1:]))
+        digests = {full_state_digest(s) for s in states}
+        assert full_state_digest(state) not in digests and len(digests) == len(states)
+
+
+def test_select_trace_takes_its_modes_and_writes_in_proportion():
+    """Over 2,000 seeds: 90% of calls take every line exactly once, 5% a
+    sample and 5% pad with repeats (a pad may stop at once, and a sample may
+    be whole); no trace is over budget, and a quarter of operations write."""
+    s = MicroArchState.initial(G, 8)
+    ta = {0x10000, 0x10400}
+    lines = [p + off for p in sorted(ta) for off in range(0, 1024, 64)]
+    n, budget, seeds = len(lines), 64, 2000
+    whole = sample = padded = writes = ops = 0
+    for seed in range(seeds):
+        tr = select_trace(ta, _vis(s), AMAP, budget, seed)
+        vs = [op.v for op in tr]
+        assert 1 <= len(tr) <= budget and set(vs) <= set(lines)
+        if len(tr) > n:
+            assert sorted(vs[:n]) == lines      # every line once, then repeats
+            padded += 1
+        elif len(tr) == n:
+            assert sorted(vs) == lines
+            whole += 1
         else:
-            vp = VisibleProjection("suspended", None, sets, None)
-        want = _reference_digest([vp.role, vp.flushable, vp.visible_sets, vp.clock])
-        assert projection_digest(vp) == want, vp
+            assert len(set(vs)) == len(vs)
+            sample += 1
+        writes += sum(isinstance(op, Write) for op in tr)
+        ops += len(tr)
+    # Expected: whole 0.90 + 0.05/32 + 0.05 * 0.3; sample 0.05 * 31/32; padded 0.05 * 0.7.
+    assert abs(whole / seeds - 0.9166) < 0.03
+    assert abs(sample / seeds - 0.0484) < 0.02
+    assert abs(padded / seeds - 0.035) < 0.02
+    assert abs(writes / ops - 0.25) < 0.03
 
 
-def test_shuffle_replica_draws_what_random_shuffle_draws():
-    for n in list(range(0, 12)) + [31, 32, 33, 64, 100]:
-        for seed in range(20):
-            a, b = random.Random(f"shuffle:{seed}"), random.Random(f"shuffle:{seed}")
-            want, got = list(range(n)), list(range(n))
-            a.shuffle(want)
-            _shuffle(b.getrandbits, got)
-            assert got == want
-            assert a.getrandbits(64) == b.getrandbits(64)    # same words drawn
-
-
-def _reference_select(ta, visible, amap, budget, seed, line_size=64):
-    """select_trace as it read before its per-footprint plans and shuffle
-    replica; every fast path must choose exactly this trace."""
-    ta_pages = sorted(set(ta))
-    if not ta_pages:
-        return ()
-    key = ":".join([
-        "select", str(seed), _reference_digest([visible.role, visible.flushable,
-                                                visible.visible_sets, visible.clock]),
-        _reference_digest([ta_pages, amap.digest_key(), budget]), "",
-    ])
-    rng = random.Random(key)
-    lines = [vpage + off for vpage in ta_pages for off in range(0, amap.page_size, line_size)]
-    mode = rng.random()
-    if 0.90 <= mode < 0.95:
-        chosen = rng.sample(lines, rng.randint(1, min(len(lines), budget)))
-    else:
-        chosen = list(lines)
-        rng.shuffle(chosen)
-        chosen = chosen[:budget]
-        while mode >= 0.95 and len(chosen) < budget and rng.random() < 0.7:
-            chosen.append(rng.choice(lines))
-    ops = []
-    for v in chosen:
-        p = amap.translate(v)
-        ops.append(Write(v, p) if rng.random() < 0.25 else Read(v, p))
-    return tuple(ops)
-
-
-def test_select_trace_chooses_the_reference_trace():
-    rng = random.Random("select-reference")
-    pages = sorted(AMAP.pages) + [0x30000]      # the last one is unmapped
+def test_select_trace_stays_on_its_footprint_and_budget():
+    """Random states, footprints, budgets and line sizes: each operation reads
+    or writes a permitted line at its translation, no trace is over budget or
+    repeats a line among its first min(n, budget), and choosing a line of an
+    unmapped page faults with that line's address."""
+    rng = random.Random("select-footprint")
+    unmapped = 0x30000
+    faults = 0
     for trial in range(600):
         state = MicroArchState(tuple(rng.getrandbits(64) for _ in range(8)),
                                tuple(_random_cache_set(rng) for _ in range(G.num_sets)),
                                rng.randrange(1 << 20))
-        vis = _vis(state, trial % 2)
-        ta = set(rng.sample(pages, rng.randint(1, 3)))
+        ta = set(rng.sample(sorted(AMAP.pages) + [unmapped], rng.randint(1, 3)))
         budget = rng.choice([1, 5, 16, 40, 64])
         line_size = rng.choice([64, 256])
+        lines = [p + off for p in sorted(ta) for off in range(0, AMAP.page_size, line_size)]
         try:
-            want = _reference_select(ta, vis, AMAP, budget, trial, line_size)
+            tr = select_trace(ta, _vis(state, trial % 2), AMAP, budget, trial, line_size=line_size)
         except TranslationFault as e:
-            with pytest.raises(TranslationFault) as got:
-                select_trace(ta, vis, AMAP, budget, trial, line_size=line_size)
-            assert got.value.vaddr == e.vaddr
+            assert e.vaddr in range(unmapped, unmapped + AMAP.page_size, line_size)
+            faults += 1
             continue
-        assert select_trace(ta, vis, AMAP, budget, trial, line_size=line_size) == want
+        vs = [op.v for op in tr][:min(len(lines), budget)]
+        assert 1 <= len(tr) <= budget and len(set(vs)) == len(vs)
+        assert all(op.v in lines and op.p == AMAP.translate(op.v) for op in tr)
+    assert faults > 50
+
+
+_IN_A_NEW_PROCESS = """
+from tpsim.core import AddressMap, CacheGeometry, DomainPolicy, DomainSpec
+from tpsim.microarch import MicroArchState, visible_projection
+from tpsim.selector import select_trace
+G = CacheGeometry(line_size=64, num_sets=64, num_ways=2, page_size=1024)
+POL = DomainPolicy(domains=(DomainSpec(0, frozenset({0, 1}), frozenset(), frozenset()),
+                            DomainSpec(1, frozenset({2, 3}), frozenset(), frozenset())),
+                   kernel_globals=frozenset({0xC80}), switch_deadline=320, slice_length=8192)
+AMAP = AddressMap(1024, {0x10000: 0x1400, 0x10400: 0x2400, 0x10800: 0x1000,
+                         0x20000: 0x3C00, 0x20400: 0x4C00})
+vis = visible_projection(MicroArchState.initial(G, 8), 0, POL, "executing", G)
+for seed in range(20):
+    print(select_trace({0x10000, 0x10800}, vis, AMAP, 40, seed))
+"""
+
+
+def test_a_selection_is_the_same_in_every_process():
+    """The stream depends on no per-process state such as string hashing."""
+    src = Path(tpsim.__file__).resolve().parent.parent
+    outs = [subprocess.run([sys.executable, "-c", _IN_A_NEW_PROCESS], check=True,
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": h}).stdout
+            for h in ("1", "2")]
+    vis = _vis(MicroArchState.initial(G, 8))
+    here = [repr(select_trace({0x10000, 0x10800}, vis, AMAP, 40, seed)) for seed in range(20)]
+    assert outs[0] == outs[1] == "".join(f"{t}\n" for t in here)
