@@ -115,24 +115,8 @@ def _diff_views(a: ObserverView, b: ObserverView,
 
 # --- schedule construction ------------------------------------------------------
 
-_KIND_CHOICES = (
-    (USER_READ, 0.22),
-    (USER_WRITE, 0.20),
-    (SYS_READ, 0.20),
-    (SYS_WRITE, 0.20),
-    (SYS_ALLOC, 0.08),
-    (NOOP, 0.10),
-)
-
-
-def _pick_kind(rng: random.Random) -> str:
-    x = rng.random()
-    acc = 0.0
-    for kind, w in _KIND_CHOICES:
-        acc += w
-        if x < acc:
-            return kind
-    return NOOP
+_KINDS = (USER_READ, USER_WRITE, SYS_READ, SYS_WRITE, SYS_ALLOC, NOOP)
+_KIND_WEIGHTS = (0.22, 0.20, 0.20, 0.20, 0.08, 0.10)
 
 
 def build_schedule(cfg: RunConfig, observer: int, trial_key: str,
@@ -160,7 +144,7 @@ def build_schedule(cfg: RunConfig, observer: int, trial_key: str,
             # At most three inputs: at the reference costs, three worst cases
             # (3 x 2,573 cycles) fit in one 8,192-cycle slice.
             for _ in range(shape_rng.randint(1, 3)):
-                kind = _pick_kind(shape_rng)
+                kind = shape_rng.choices(_KINDS, _KIND_WEIGHTS)[0]
                 if kind in (NOOP, SYS_ALLOC):
                     batch.append(Input(kind=kind))
                     continue

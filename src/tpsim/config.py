@@ -3,11 +3,12 @@
 Top-level sections are geometry, cost_model, policy, scenario and analysis,
 plus a mandatory spec_version.  Addresses are written as hex strings, every
 other numeric field in decimal.  Validation errors name the offending field.
+_SCHEMA lists each key of each kind of mapping with its parser and default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -15,7 +16,9 @@ from typing import Any, Mapping
 import yaml
 
 from .core import (
+    KERNEL_DOMAIN,
     KERNEL_VBASE,
+    REPLACEMENTS,
     AddressMap,
     CacheGeometry,
     ConfigError,
@@ -81,7 +84,7 @@ class ObjectSpec:
     owner: int
     base: int          # virtual byte address
     size: int          # bytes
-    allocated: bool = True
+    allocated: bool
     payload: Mapping[int, int] = field(default_factory=dict)   # sparse offset -> byte
 
     def __post_init__(self):
@@ -102,16 +105,16 @@ class Scenario:
     slices: int
     inputs: dict[int, list[list[Input]]]   # domain -> per-rotation input batches
     objects: list[ObjectSpec]
-    initial_cache: list[tuple[int, int]] = field(default_factory=list)  # (phys addr, level)
+    initial_cache: list[tuple[int, int]]   # (phys addr, level)
 
 
 @dataclass
 class Analysis:
-    bin_width: int = 1
-    samples_per_symbol: int = 10000
-    shuffles: int = 200
-    trace_budget: int = 64
-    trials: int = 200
+    bin_width: int
+    samples_per_symbol: int
+    shuffles: int
+    trace_budget: int
+    trials: int
 
 
 @dataclass
@@ -126,49 +129,32 @@ class RunConfig:
     source: str = "<memory>"
 
 
-# The keys each kind of mapping may hold.
-_KEYS = {
-    "config": "spec_version geometry cost_model policy scenario analysis",
-    "geometry": "line_size num_sets num_ways page_size",
-    "cost_model": "hit_cost miss_cost miss_evict_cost writeback_cost oncore_flush_base "
-                  "oncore_flush_spread oncore_flush_wcet offcore_flush_base "
-                  "offcore_flush_wcet jitter flushable_words",
-    "policy": "domains kernel_globals switch_deadline slice_length replacement use_dirty_phase",
-    "scenario": "slices address_map objects inputs initial_cache",
-    "analysis": "bin_width samples_per_symbol shuffles trace_budget trials",
-    "domain": "id colours kernel_image user_region",
-    "object": "id owner base size allocated",
-    "initial_cache": "addr level",
-    "input": "kind obj offset byte vaddr",
-}
+class _Missing(str):
+    """The default of a key that must be given.  Formatted with the mapping's
+    path (where) and the key, it is the error for the key's absence."""
 
 
-def _mapping(section: Any, kind: str, where: str) -> None:
-    """Require section to be a mapping that holds only keys known to kind."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: must be a mapping")
-    known = _KEYS[kind].split()
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"{where}.{key}: unknown field; expected one of {', '.join(known)}")
+_REQUIRED = _Missing("{where}.{key}: missing required field")
+_SECTION = _Missing("{key}: missing required section")
+_KIND_HINT = "; know " + ", ".join(INPUT_KINDS)
+_NO_KIND = _Missing("{where}.{key}: unknown input kind None" + _KIND_HINT)   # as if kind: null
 
 
-def _req(section: dict, key: str, where: str) -> Any:
-    if key not in section:
-        raise ConfigError(f"{where}.{key}: missing required field")
-    return section[key]
+def _typed(ok, expected: str):
+    """A parser that passes a value ok accepts and names any other."""
+    def parse(value: Any, where: str) -> Any:
+        if not ok(value):
+            raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+        return value
+    return parse
 
 
-def _as_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected a decimal integer, got {value!r}")
-    return value
-
-
-def _as_bool(value: Any, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected true or false, got {value!r}")
-    return value
+_as_int = _typed(lambda v: isinstance(v, int) and not isinstance(v, bool), "a decimal integer")
+_as_bool = _typed(lambda v: isinstance(v, bool), "true or false")
+_as_str = _typed(lambda v: isinstance(v, str), "a string")
+_as_opt_str = _typed(lambda v: v is None or isinstance(v, str), "a string")
+_as_list = _typed(lambda v: isinstance(v, list), "a list")
+_as_version = _typed(lambda v: type(v) is int and v == SPEC_VERSION, str(SPEC_VERSION))
 
 
 def _as_addr(value: Any, where: str) -> int:
@@ -180,14 +166,105 @@ def _as_addr(value: Any, where: str) -> int:
         raise ConfigError(f"{where}: unparseable hex address {value!r}") from None
 
 
-def _as_list(value: Any, where: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected a list, got {value!r}")
-    return value
+def _as_domain_id(value: Any, where: str) -> int:
+    ident = _as_int(value, where)
+    if ident == KERNEL_DOMAIN:
+        # The kernel's switch work runs under this id, and the two runs of a
+        # confidentiality trial share its oracle words.
+        raise ConfigError(f"{where}: {ident} is the kernel's own domain id")
+    return ident
 
 
-def _as_addr_list(value: Any, where: str) -> list[int]:
-    return [_as_addr(v, f"{where}[{i}]") for i, v in enumerate(_as_list(value, where))]
+def _one_of(names: tuple[str, ...], what: str, hint: str = ""):
+    def parse(value: Any, where: str) -> str:
+        if value not in names:
+            raise ConfigError(f"{where}: unknown {what} {value!r}{hint}")
+        return value
+    return parse
+
+
+def _seq(parse, into=list, nonempty: bool = False):
+    """A list whose items parse with parse, gathered into into."""
+    def parse_seq(value: Any, where: str):
+        if nonempty and not (isinstance(value, list) and value):
+            raise ConfigError(f"{where}: expected a non-empty list")
+        return into(parse(v, f"{where}[{i}]") for i, v in enumerate(_as_list(value, where)))
+    return parse_seq
+
+
+def _mapping_of(parse_key, parse_value, of: str):
+    def parse(value: Any, where: str) -> dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected a mapping of {of}")
+        return {parse_key(k, f"{where} key"): parse_value(v, f"{where}[{k}]")
+                for k, v in value.items()}
+    return parse
+
+
+def _entry(kind: str):
+    return lambda value, where: _read(value, kind, where)
+
+
+# Each kind of mapping: its keys in order, each with its parser and either its
+# default or a _Missing marker where the key must be given.
+_INT = (_as_int, _REQUIRED)
+_ADDRS = (_seq(_as_addr, frozenset), _REQUIRED)
+_SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
+    "config": {"spec_version": (_as_version, _REQUIRED),
+               "geometry": (_entry("geometry"), _SECTION),
+               "cost_model": (_entry("cost_model"), _SECTION),
+               "policy": (_entry("policy"), _SECTION),
+               "scenario": (_entry("scenario"), _SECTION),
+               "analysis": (_entry("analysis"), _SECTION)},
+    "geometry": {"line_size": _INT, "num_sets": _INT, "num_ways": _INT, "page_size": _INT},
+    "cost_model": {"hit_cost": (_seq(_as_int, tuple, nonempty=True), _REQUIRED),
+                   "miss_cost": _INT, "miss_evict_cost": _INT, "writeback_cost": _INT,
+                   "oncore_flush_base": _INT, "oncore_flush_spread": (_as_int, 32),
+                   "oncore_flush_wcet": _INT, "offcore_flush_base": _INT,
+                   "offcore_flush_wcet": _INT, "jitter": _INT, "flushable_words": (_as_int, 8)},
+    "policy": {"domains": (_seq(_entry("domain"), tuple, nonempty=True), _REQUIRED),
+               "kernel_globals": _ADDRS, "switch_deadline": _INT, "slice_length": _INT,
+               "replacement": (_one_of(REPLACEMENTS, "policy"), "plru"),
+               "use_dirty_phase": (_as_bool, False)},
+    "domain": {"id": (_as_domain_id, _REQUIRED), "colours": (_seq(_as_int, frozenset), _REQUIRED),
+               "kernel_image": _ADDRS, "user_region": _ADDRS},
+    "scenario": {"slices": (_as_int, 2),
+                 "address_map": (_mapping_of(_as_addr, _as_addr, "hex vpage to hex ppage"),
+                                 _REQUIRED),
+                 "objects": (_seq(_entry("object")), _REQUIRED),
+                 # _parse_batch reads each batch, once the objects are known.
+                 "inputs": (_mapping_of(_as_int, _as_list, "domain to input batches"), {}),
+                 "initial_cache": (_seq(_entry("initial_cache")), [])},
+    "object": {"id": (_as_str, _REQUIRED), "owner": _INT, "base": (_as_addr, _REQUIRED),
+               "size": _INT, "allocated": (_as_bool, True)},
+    "initial_cache": {"addr": (_as_addr, _REQUIRED), "level": (_as_int, 1)},
+    "input": {"kind": (_one_of(INPUT_KINDS, "input kind", _KIND_HINT), _NO_KIND),
+              "obj": (_as_opt_str, None), "offset": (_as_int, 0), "byte": (_as_int, 0),
+              "vaddr": (_as_addr, None)},
+    "analysis": {"bin_width": (_as_int, 1), "samples_per_symbol": (_as_int, 10000),
+                 "shuffles": (_as_int, 200), "trace_budget": (_as_int, 64),
+                 "trials": (_as_int, 200)},
+}
+
+
+def _read(section: Any, kind: str, where: str) -> dict[str, Any]:
+    """The keys of a mapping of the given kind, each parsed, absent ones defaulted."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: must be a mapping")
+    schema = _SCHEMA[kind]
+    for key in section:
+        if key not in schema:
+            raise ConfigError(f"{where}.{key}: unknown field; expected one of {', '.join(schema)}")
+    out = {}
+    for key, (parse, default) in schema.items():
+        if key in section:
+            # The top level's keys are named alone: geometry, not config.geometry.
+            out[key] = parse(section[key], key if kind == "config" else f"{where}.{key}")
+        elif isinstance(default, _Missing):
+            raise ConfigError(default.format(where=where, key=key))
+        else:
+            out[key] = default
+    return out
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -207,75 +284,16 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    version = _req(raw, "spec_version", "config")
-    if version != SPEC_VERSION:
-        raise ConfigError(f"spec_version: expected {SPEC_VERSION}, got {version!r}")
-    _mapping(raw, "config", "config")
-
-    for section in ("geometry", "cost_model", "policy", "scenario", "analysis"):
-        if section not in raw:
-            raise ConfigError(f"{section}: missing required section")
-        _mapping(raw[section], section, section)
-
-    gsec = raw["geometry"]
-    geometry = CacheGeometry(
-        line_size=_as_int(_req(gsec, "line_size", "geometry"), "geometry.line_size"),
-        num_sets=_as_int(_req(gsec, "num_sets", "geometry"), "geometry.num_sets"),
-        num_ways=_as_int(_req(gsec, "num_ways", "geometry"), "geometry.num_ways"),
-        page_size=_as_int(_req(gsec, "page_size", "geometry"), "geometry.page_size"),
-    )
-
-    csec = raw["cost_model"]
-    hit = _req(csec, "hit_cost", "cost_model")
-    if not isinstance(hit, list) or not hit:
-        raise ConfigError("cost_model.hit_cost: expected a non-empty list")
-    cost_model = CostModel(
-        hit_cost=tuple(_as_int(h, f"cost_model.hit_cost[{i}]") for i, h in enumerate(hit)),
-        miss_cost=_as_int(_req(csec, "miss_cost", "cost_model"), "cost_model.miss_cost"),
-        miss_evict_cost=_as_int(_req(csec, "miss_evict_cost", "cost_model"), "cost_model.miss_evict_cost"),
-        writeback_cost=_as_int(_req(csec, "writeback_cost", "cost_model"), "cost_model.writeback_cost"),
-        oncore_flush_base=_as_int(_req(csec, "oncore_flush_base", "cost_model"), "cost_model.oncore_flush_base"),
-        oncore_flush_spread=_as_int(csec.get("oncore_flush_spread", 32), "cost_model.oncore_flush_spread"),
-        oncore_flush_wcet=_as_int(_req(csec, "oncore_flush_wcet", "cost_model"), "cost_model.oncore_flush_wcet"),
-        offcore_flush_base=_as_int(_req(csec, "offcore_flush_base", "cost_model"), "cost_model.offcore_flush_base"),
-        offcore_flush_wcet=_as_int(_req(csec, "offcore_flush_wcet", "cost_model"), "cost_model.offcore_flush_wcet"),
-        jitter=_as_int(_req(csec, "jitter", "cost_model"), "cost_model.jitter"),
-        flushable_words=_as_int(csec.get("flushable_words", 8), "cost_model.flushable_words"),
-    )
+    doc = _read(raw, "config", "config")
+    geometry = CacheGeometry(**doc["geometry"])
+    cost_model = CostModel(**doc["cost_model"])
     cost_model.validate(geometry)
+    policy = DomainPolicy(**{**doc["policy"], "domains": tuple(
+        DomainSpec(d["id"], d["colours"], d["kernel_image"], d["user_region"])
+        for d in doc["policy"]["domains"])})
 
-    psec = raw["policy"]
-    domains = []
-    draw = _req(psec, "domains", "policy")
-    if not isinstance(draw, list) or not draw:
-        raise ConfigError("policy.domains: expected a non-empty list")
-    for i, d in enumerate(draw):
-        where = f"policy.domains[{i}]"
-        _mapping(d, "domain", where)
-        colours = _as_list(_req(d, "colours", where), f"{where}.colours")
-        domains.append(DomainSpec(
-            ident=_as_int(_req(d, "id", where), f"{where}.id"),
-            colours=frozenset(_as_int(c, f"{where}.colours[{j}]") for j, c in enumerate(colours)),
-            kernel_image=frozenset(_as_addr_list(_req(d, "kernel_image", where), f"{where}.kernel_image")),
-            user_region=frozenset(_as_addr_list(_req(d, "user_region", where), f"{where}.user_region")),
-        ))
-    policy = DomainPolicy(
-        domains=tuple(domains),
-        kernel_globals=frozenset(_as_addr_list(_req(psec, "kernel_globals", "policy"), "policy.kernel_globals")),
-        switch_deadline=_as_int(_req(psec, "switch_deadline", "policy"), "policy.switch_deadline"),
-        slice_length=_as_int(_req(psec, "slice_length", "policy"), "policy.slice_length"),
-        replacement=psec.get("replacement", "plru"),
-        use_dirty_phase=_as_bool(psec.get("use_dirty_phase", False), "policy.use_dirty_phase"),
-    )
-
-    ssec = raw["scenario"]
-    amap_raw = _req(ssec, "address_map", "scenario")
-    if not isinstance(amap_raw, dict):
-        raise ConfigError("scenario.address_map: expected a mapping of hex vpage to hex ppage")
-    pages = {}
-    for v, p in amap_raw.items():
-        vaddr = _as_addr(v, "scenario.address_map key")
-        pages[vaddr] = _as_addr(p, f"scenario.address_map[{v}]")
+    ssec = doc["scenario"]
+    pages = ssec["address_map"]
     # The kernel window maps every kernel-owned physical page at a fixed
     # virtual offset; add those entries so the map is total over them.
     for d in policy.domains:
@@ -285,40 +303,21 @@ def parse_config(raw: dict) -> RunConfig:
         pages[KERNEL_VBASE + page] = page
     amap = AddressMap(page_size=geometry.page_size, pages=pages)
 
-    objects = []
-    for i, o in enumerate(_as_list(_req(ssec, "objects", "scenario"), "scenario.objects")):
-        where = f"scenario.objects[{i}]"
-        _mapping(o, "object", where)
-        ident = _req(o, "id", where)
-        if not isinstance(ident, str):
-            raise ConfigError(f"{where}.id: expected a string, got {ident!r}")
-        objects.append(ObjectSpec(
-            ident=ident,
-            owner=_as_int(_req(o, "owner", where), f"{where}.owner"),
-            base=_as_addr(_req(o, "base", where), f"{where}.base"),
-            size=_as_int(_req(o, "size", where), f"{where}.size"),
-            allocated=_as_bool(o.get("allocated", True), f"{where}.allocated"),
-        ))
-
-    inputs: dict[int, list[list[Input]]] = {}
+    objects = [ObjectSpec(o["id"], o["owner"], o["base"], o["size"], o["allocated"])
+               for o in ssec["objects"]]
     sizes = {o.ident: o.size for o in objects}
-    inputs_raw = ssec.get("inputs", {})
-    if not isinstance(inputs_raw, dict):
-        raise ConfigError("scenario.inputs: expected a mapping of domain to input batches")
-    for key, per_slice in inputs_raw.items():
-        dom = _as_int(key, "scenario.inputs key")
+    inputs: dict[int, list[list[Input]]] = {}
+    for dom, batches in ssec["inputs"].items():
         if dom not in policy.domain_ids():
-            raise ConfigError(f"scenario.inputs[{key}]: unknown domain {dom}")
-        inputs[dom] = [_parse_batch(batch, sizes, f"scenario.inputs[{key}][{i}]")
-                       for i, batch in enumerate(_as_list(per_slice, f"scenario.inputs[{key}]"))]
+            raise ConfigError(f"scenario.inputs[{dom}]: unknown domain {dom}")
+        inputs[dom] = [_parse_batch(batch, sizes, f"scenario.inputs[{dom}][{i}]")
+                       for i, batch in enumerate(batches)]
 
     initial_cache = []
     seeded: dict[int, list[int]] = {}    # set index -> lines seeded into it
-    for i, entry in enumerate(_as_list(ssec.get("initial_cache", []), "scenario.initial_cache")):
+    for i, entry in enumerate(ssec["initial_cache"]):
         where = f"scenario.initial_cache[{i}]"
-        _mapping(entry, "initial_cache", where)
-        addr = _as_addr(_req(entry, "addr", where), f"{where}.addr")
-        level = _as_int(entry.get("level", 1), f"{where}.level")
+        addr, level = entry["addr"], entry["level"]
         if not 1 <= level <= cost_model.max_level:
             raise ConfigError(f"{where}.level: must be in 1..{cost_model.max_level}, got {level}")
         idx, line = set_index_of(addr, geometry), geometry.line_of(addr)
@@ -331,18 +330,20 @@ def parse_config(raw: dict) -> RunConfig:
         lines.append(line)
         initial_cache.append((addr, level))
 
-    scenario = Scenario(
-        slices=_as_int(ssec.get("slices", 2), "scenario.slices"),
-        inputs=inputs,
-        objects=objects,
-        initial_cache=initial_cache,
-    )
-    if scenario.slices < 1:
+    slices = ssec["slices"]
+    if slices < 1:
         raise ConfigError("scenario.slices: must be >= 1")
+    ids = policy.domain_ids()
+    for dom, batches in inputs.items():
+        # The domain at position p runs in slices p, p + n, ...: one batch each.
+        runs = len(range(ids.index(dom), slices, len(ids)))
+        if len(batches) > runs:
+            raise ConfigError(f"scenario.inputs[{dom}]: {len(batches)} batches, but domain {dom} "
+                              f"runs in only {runs} of the {slices} slices")
+    scenario = Scenario(slices=slices, inputs=inputs, objects=objects,
+                        initial_cache=initial_cache)
 
-    asec = raw["analysis"]
-    analysis = Analysis(**{f.name: _as_int(asec.get(f.name, f.default), f"analysis.{f.name}")
-                           for f in fields(Analysis)})
+    analysis = Analysis(**doc["analysis"])
     for name, value in vars(analysis).items():
         least = 100 if name == "shuffles" else 1     # M0 needs its label shuffles
         if value < least:
@@ -366,25 +367,18 @@ def _parse_batch(batch: Any, sizes: dict[str, int], where: str) -> list[Input]:
     out = []
     for j, d in enumerate(_as_list(batch, where)):
         at = f"{where}[{j}]"
-        _mapping(d, "input", at)
-        kind = d.get("kind")
-        if kind not in INPUT_KINDS:
-            raise ConfigError(f"{at}.kind: unknown input kind {kind!r}; "
-                              f"know {', '.join(INPUT_KINDS)}")
-        obj = d.get("obj")
-        named = kind in (USER_READ, USER_WRITE, SYS_READ, SYS_WRITE)
-        if named and obj not in sizes:
-            raise ConfigError(f"{at}.obj: unknown object {obj!r}")
-        offset = _as_int(d.get("offset", 0), f"{at}.offset")
-        if named and not 0 <= offset < sizes[obj]:
-            raise ConfigError(f"{at}.offset: must be in 0..{sizes[obj] - 1}, got {offset}")
-        byte = _as_int(d.get("byte", 0), f"{at}.byte")
-        if named and not 0 <= byte <= 255:
-            raise ConfigError(f"{at}.byte: must be in 0..255, got {byte}")
-        if kind == RAW_ACCESS:
-            _req(d, "vaddr", at)
-        out.append(Input(kind=kind, obj=obj, offset=offset, byte=byte,
-                         vaddr=_as_addr(d["vaddr"], f"{at}.vaddr") if "vaddr" in d else None))
+        inp = _read(d, "input", at)
+        obj, offset, byte = inp["obj"], inp["offset"], inp["byte"]
+        if inp["kind"] in (USER_READ, USER_WRITE, SYS_READ, SYS_WRITE):
+            if obj not in sizes:
+                raise ConfigError(f"{at}.obj: unknown object {obj!r}")
+            if not 0 <= offset < sizes[obj]:
+                raise ConfigError(f"{at}.offset: must be in 0..{sizes[obj] - 1}, got {offset}")
+            if not 0 <= byte <= 255:
+                raise ConfigError(f"{at}.byte: must be in 0..255, got {byte}")
+        if inp["kind"] == RAW_ACCESS and inp["vaddr"] is None:
+            raise ConfigError(f"{at}.vaddr: missing required field")
+        out.append(Input(**inp))
     return out
 
 

@@ -198,6 +198,9 @@ class DomainSpec:
     user_region: frozenset[int]    # virtual pages the domain's objects live in
 
 
+REPLACEMENTS = ("plru", "adversarial")
+
+
 @dataclass(frozen=True)
 class DomainPolicy:
     """Partitioning policy shared by the whole system.
@@ -217,7 +220,7 @@ class DomainPolicy:
     use_dirty_phase: bool = False
 
     def __post_init__(self):
-        if self.replacement not in ("plru", "adversarial"):
+        if self.replacement not in REPLACEMENTS:
             raise ConfigError(f"policy.replacement: unknown policy {self.replacement!r}")
         if self.switch_deadline <= 0:
             raise ConfigError("policy.switch_deadline: must be positive")

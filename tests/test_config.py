@@ -11,6 +11,7 @@ from tpsim.config import (
     NOOP,
     PREFETCH_MECHANISM,
     RAW_ACCESS,
+    _SCHEMA,
     Input,
     load_config,
     parse_config,
@@ -69,6 +70,8 @@ def test_missing_field_is_named(raw):
 def test_wrong_spec_version(raw):
     with pytest.raises(ConfigError, match="spec_version"):
         parse_config(_broken(raw, lambda d: d.update(spec_version=99)))
+    with pytest.raises(ConfigError, match="spec_version: expected 1, got True"):
+        parse_config(_broken(raw, lambda d: d.update(spec_version=True)))
 
 
 def test_addresses_must_be_hex_strings(raw):
@@ -202,11 +205,19 @@ def test_scenario_inputs_are_parsed_at_load(raw):
     with pytest.raises(ConfigError, match=r"scenario\.inputs\[0\]\[0\]\[0\]\.kind: .*None"):
         parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0].__setitem__(
             0, [{"obj": "s_buf"}])))
-    cfg = parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0].append(
+    cfg = parse_config(_broken(raw, lambda d: d["scenario"]["inputs"][0][2].extend(
         [{"kind": "raw_access", "vaddr": "0x10020"}, {"kind": "noop"}])))
-    assert cfg.scenario.inputs[0][3] == [Input(RAW_ACCESS, vaddr=0x10020), Input(NOOP)]
+    assert cfg.scenario.inputs[0][2][1:] == [Input(RAW_ACCESS, vaddr=0x10020), Input(NOOP)]
     with pytest.raises(ValueError, match="raw_access input needs a vaddr"):
         Input(RAW_ACCESS)
+
+
+def _idle_domain_as_kernel(d):
+    """Domain 1 with no objects or inputs, under the kernel's id: its oracle
+    words would be shared between the two runs of a confidentiality trial."""
+    d["scenario"]["objects"] = [o for o in d["scenario"]["objects"] if o["owner"] == 0]
+    del d["scenario"]["inputs"][1]
+    d["policy"]["domains"][1]["id"] = -1
 
 
 UNRUNNABLE_INPUTS = [
@@ -225,6 +236,12 @@ UNRUNNABLE_INPUTS = [
      "scenario.objects[0].id: expected a string, got [1]"),
     ("object-id-a-number", lambda d: d["scenario"]["objects"][0].update(id=5),
      "scenario.objects[0].id: expected a string, got 5"),
+    ("object-name-a-list", lambda d: d["scenario"]["inputs"][0][1][0].update(obj=["s_probe"]),
+     "scenario.inputs[0][1][0].obj: expected a string, got ['s_probe']"),
+    ("kernel-domain-id", _idle_domain_as_kernel,
+     "policy.domains[1].id: -1 is the kernel's own domain id"),
+    ("batch-no-slice-reaches", lambda d: d["scenario"]["inputs"][0].append([{"kind": "noop"}]),
+     "scenario.inputs[0]: 4 batches, but domain 0 runs in only 3 of the 6 slices"),
 ]
 
 
@@ -332,3 +349,68 @@ def test_malformed_yaml_is_exit_2_with_either_loader(tmp_path, capsys, monkeypat
     assert main(["check", str(bad), "--trials", "1", "--no-timestamp"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: config is not valid YAML")
+
+
+# Where each kind of mapping sits in reference.yaml, once one initial_cache
+# entry is added: its path as messages name it, and how to reach it.
+INSTANCES = {
+    "config": ("config", lambda d: d),
+    "geometry": ("geometry", lambda d: d["geometry"]),
+    "cost_model": ("cost_model", lambda d: d["cost_model"]),
+    "policy": ("policy", lambda d: d["policy"]),
+    "domain": ("policy.domains[1]", lambda d: d["policy"]["domains"][1]),
+    "scenario": ("scenario", lambda d: d["scenario"]),
+    "object": ("scenario.objects[0]", lambda d: d["scenario"]["objects"][0]),
+    "initial_cache": ("scenario.initial_cache[0]", lambda d: d["scenario"]["initial_cache"][0]),
+    "input": ("scenario.inputs[0][1][0]", lambda d: d["scenario"]["inputs"][0][1][0]),
+    "analysis": ("analysis", lambda d: d["analysis"]),
+}
+FAULT_VALUES = ["x", True, [1], {"a": 1}, 3, None, 2.5]
+# Fields whose check reads another key, so that its fault is named there.
+REFERRERS = {
+    ("cost_model", "hit_cost"): ["scenario.initial_cache[0].level"],   # the level count
+    ("domain", "id"): ["scenario.inputs[1]"],                          # inputs by domain id
+}
+
+
+def _single_faults(base, kind):
+    """Variants of base that each break one key of kind's instance: removed,
+    replaced by a value of each YAML type, or joined by an unknown key.  Each
+    comes with the paths its error may start with: the key's own, or that of
+    a mapping that holds it."""
+    where, reach = INSTANCES[kind]
+    ancestors = [where[:i] for i, c in enumerate(where) if c in ".["] + [where]
+    for key in _SCHEMA[kind]:
+        own = [f"{where}.{key}", key] if kind == "config" else [f"{where}.{key}"]
+        edits = [("removed", lambda m: m.pop(key, None))]
+        edits += [(repr(v), lambda m, v=v: m.__setitem__(key, copy.deepcopy(v)))
+                  for v in FAULT_VALUES]
+        for name, edit in edits:
+            doc = copy.deepcopy(base)
+            edit(reach(doc))
+            yield f"{key} {name}", doc, own + ancestors + REFERRERS.get((kind, key), [])
+    doc = copy.deepcopy(base)
+    reach(doc)["unknown_key"] = 1
+    yield "unknown key", doc, [f"{where}.unknown_key"]
+
+
+@pytest.mark.parametrize("kind", list(INSTANCES))
+def test_every_single_fault_loads_or_is_a_config_error_naming_its_field(raw, kind):
+    """A config with one key of one mapping broken loads, or is rejected with a
+    ConfigError that starts with the path of that key or of a mapping that
+    holds it; never with another exception (an obj list was a TypeError)."""
+    assert set(INSTANCES) == set(_SCHEMA)
+    base = _broken(raw, lambda d: d["scenario"].update(
+        initial_cache=[{"addr": "0x1440", "level": 2}]))
+    unnamed = []
+    for name, doc, paths in _single_faults(base, kind):
+        try:
+            parse_config(doc)
+        except ConfigError as e:
+            msg = str(e)
+            if not any(msg.startswith(p) and msg[len(p):][:1] in (":", "[", ".", " ")
+                       for p in paths):
+                unnamed.append((name, msg))
+        except Exception as e:
+            unnamed.append((name, repr(e)))
+    assert unnamed == []

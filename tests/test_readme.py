@@ -1,6 +1,7 @@
 """The README's library example runs as written, and its API facts hold."""
 
 import dataclasses
+import json
 import pathlib
 import re
 
@@ -26,3 +27,18 @@ def test_readme_names_exactly_the_fields_of_run_options():
     fields = [f.name for f in dataclasses.fields(RunOptions)]
     assert named == fields
     assert count == ["zero", "one", "two", "three", "four", "five", "six"][len(fields)]
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    """The Configuration section names each key of config._SCHEMA, written
+    as `key: value` where the key has a default."""
+    from tpsim.config import _SCHEMA, _Missing
+    text = (ROOT / "README.md").read_text()
+    section = " ".join(text[text.index("## Configuration"):text.index("## Tests")].split())
+    for kind, keys in _SCHEMA.items():
+        for key, (_, default) in keys.items():
+            if isinstance(default, _Missing):
+                assert f"`{key}`" in section or f"{key}: " in section, (kind, key)
+            else:
+                value = default if isinstance(default, str) else json.dumps(default)
+                assert f"`{key}: {value}`" in section, (kind, key)
