@@ -286,7 +286,7 @@ def _attack_objects(cfg: RunConfig) -> tuple[str, str, str]:
 
 
 def _probe_pair(cfg: RunConfig, options: RunOptions, seed: object, index: int,
-                prime_obj: str, probe_obj: str, trojan_obj: str) -> tuple[int, int]:
+                prime: dict, symbols: list[dict]) -> tuple[int, int]:
     """Probe latencies of one sample, for symbol 0 and for symbol 1.
 
     Both symbols share the prime slice and the switch after it, so that part
@@ -295,20 +295,17 @@ def _probe_pair(cfg: RunConfig, options: RunOptions, seed: object, index: int,
     symbol's run stops at the probe step: the switch after it feeds no
     measurement.  Any failure, of the prime run or of a symbol's, aborts.
     """
-    spy, trojan = cfg.policy.domain_ids()[:2]
     probe_slice = len(cfg.policy.domains)
-    spy_batches = [[Input(kind=USER_READ, obj=prime_obj)], [Input(kind=SYS_READ, obj=probe_obj)]]
     # Seeded by the sample, never by the symbol: the symbol-0 and symbol-1
     # runs of one sample draw identical oracle words and trace seeds.
     runner = SystemRunner(cfg, f"{seed}:s{index}", options)
-    for _ in runner.transitions(slices=1, schedule={spy: spy_batches}):
+    for _ in runner.transitions(slices=1, schedule=prime):
         pass
     if runner.failures:
         raise RunError(runner.failures[0])
     latencies = []
-    for signal in (Input(kind=NOOP), Input(kind=SYS_READ, obj=trojan_obj)):
+    for schedule in symbols:
         run = SystemRunner.at(cfg, runner.seed, options, runner.abstract, runner.micro, 1)
-        schedule = {spy: spy_batches, trojan: [[signal]]}
         probe = next(r for r in run.transitions(slices=probe_slice + 1, schedule=schedule)
                      if r.slice_index == probe_slice and r.kind != "switch")
         run.finish()
@@ -320,8 +317,13 @@ def _probe_pair(cfg: RunConfig, options: RunOptions, seed: object, index: int,
 
 def _probe_range(cfg: RunConfig, options: RunOptions, seed: object,
                  objs: tuple[str, str, str], samples: range) -> list[tuple[int, int]]:
-    """Probe latency pairs of the given samples, in sample order."""
-    return [_probe_pair(cfg, options, seed, i, *objs) for i in samples]
+    """Probe latency pairs of the given samples, in sample order.  Every
+    sample runs the same schedules: the prime run's, then each symbol's."""
+    spy, trojan = cfg.policy.domain_ids()[:2]
+    spy_batches = [[Input(kind=USER_READ, obj=objs[0])], [Input(kind=SYS_READ, obj=objs[1])]]
+    symbols = [{spy: spy_batches, trojan: [[signal]]}
+               for signal in (Input(kind=NOOP), Input(kind=SYS_READ, obj=objs[2]))]
+    return [_probe_pair(cfg, options, seed, i, {spy: spy_batches}, symbols) for i in samples]
 
 
 def run_prime_probe(cfg: RunConfig, protection: str, samples_per_symbol: int,

@@ -402,12 +402,12 @@ def _check_objects(cfg: RunConfig) -> None:
                 )
 
 
-def worst_input_cost(cfg: RunConfig, kind: str, kernel_ops: int) -> int:
+def worst_input_cost(cm: CostModel, trace_budget: int, kind: str, kernel_ops: int) -> int:
     """Most cycles an input of kind can take: each op a miss that evicts, at top jitter.
     The selector pads any footprint, a raw access's one page included, to
     trace_budget ops."""
-    user_ops = 0 if kind == NOOP else cfg.analysis.trace_budget
-    return (kernel_ops + user_ops) * (cfg.cost_model.miss_evict_cost + cfg.cost_model.jitter)
+    user_ops = 0 if kind == NOOP else trace_budget
+    return (kernel_ops + user_ops) * (cm.miss_evict_cost + cm.jitter)
 
 
 def worst_switch_cost(cfg: RunConfig, mechanism: tuple[type, ...]) -> int:
@@ -439,7 +439,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("policy: " + "; ".join(problems))
     walk = len(cfg.policy.kernel_globals) + cfg.geometry.lines_per_page * max(
         len(d.kernel_image) for d in cfg.policy.domains)     # the longest kernel-call walk
-    worst = max(worst_input_cost(cfg, k, walk if k in KERNEL_CALLS else 0) for k in INPUT_KINDS)
+    worst = max(worst_input_cost(cfg.cost_model, cfg.analysis.trace_budget, k,
+                                 walk if k in KERNEL_CALLS else 0) for k in INPUT_KINDS)
     if cfg.policy.slice_length < worst:
         raise ConfigError(f"policy.slice_length: {cfg.policy.slice_length} is below {worst}, "
                           f"the worst-case cost of a single input, so that input could never run")

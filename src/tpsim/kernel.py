@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .config import (
     HONEST_MECHANISM,
+    INPUT_KINDS,
     KERNEL_CALLS,
     NOOP,
     RAW_ACCESS,
@@ -55,6 +57,7 @@ from .core import (
     set_index_of,
 )
 from .microarch import (
+    CostModel,
     MicroArchState,
     NondetOracle,
     OffCoreFlush,
@@ -92,8 +95,8 @@ class Failure:
 class AbstractState(NamedTuple):
     """What a run changes of the kernel; the config holds everything else.
 
-    A value: each transition builds the next state with _replace, and never
-    changes a state, its objects mapping or an object in place.
+    A value: each transition builds the next state, and never changes a
+    state, its objects mapping or an object in place.
     """
 
     objects: Mapping[str, ObjectSpec]
@@ -122,10 +125,13 @@ class StepRecord:
 
 
 def get_object(state: AbstractState, ident: str,
-               page_size: int) -> tuple[AbstractState, ObjectSpec]:
-    """Retrieve an object; the next state's touched set holds all of its pages."""
+               page_size: int) -> tuple[AbstractState, ObjectSpec, frozenset[int]]:
+    """Retrieve an object: the next state, whose touched set holds all of its
+    pages, the object and its pages."""
     obj = state.objects[ident]
-    return state._replace(ta=state.ta | obj.pages(page_size)), obj
+    pages = obj.pages(page_size)
+    return AbstractState(state.objects, state.current, state.slot_remaining,
+                         state.ta | pages), obj, pages
 
 
 def access_mem(state: AbstractState, v: int, page_size: int) -> Failure | None:
@@ -165,23 +171,14 @@ def partition_subset_invariant(
     return (not witnesses, tuple(witnesses))
 
 
-# --- run options ---------------------------------------------------------------
+# --- run options and the run plan ------------------------------------------------
 
-# How each class of the switch template expands at a switch.
-_TEMPLATE_OPS = {
-    Read: lambda runner, deadline: runner.globals_walk,
-    OffCoreFlush: lambda runner, deadline: (OffCoreFlush(runner.policy.kernel_globals),),
-    OnCoreFlush: lambda runner, deadline: (OnCoreFlush(),),
-    PadTo: lambda runner, deadline: (PadTo(deadline),),
-}
-
-
-@dataclass
+@dataclass(frozen=True)
 class RunOptions:
     """Behavioural switches for a run.
 
     mechanism is the switch template; the mutation harness and the attack
-    variants edit it, and the default gives the honest kernel.
+    variants derive changed copies, and the default gives the honest kernel.
     ta_leak names the domain that the ta-leak mutation leaks into, or is None.
     oracle_factory replaces the oracle of a (slice, domain, phase); by
     default every oracle and trace seed is keyed on the runner's seed.
@@ -193,62 +190,87 @@ class RunOptions:
     oracle_factory: Optional[Callable[[int, int, str], NondetOracle]] = None
 
 
-@functools.lru_cache(maxsize=32)
-def _kernel_walks(policy: DomainPolicy, g: CacheGeometry) -> tuple[Trace, dict[int, Trace]]:
-    """The globals walk, and each domain's image walk, of a policy.  Every
-    runner of the policy shares the result and only reads it."""
-    images = {
-        d.ident: tuple(Read(KERNEL_VBASE + line, line)
-                       for page in sorted(d.kernel_image) for line in g.page_lines(page))
-        for d in policy.domains
-    }
-    return tuple(Read(KERNEL_VBASE + a, a) for a in sorted(policy.kernel_globals)), images
+class _RunPlan:
+    """What every run of a config under one switch mechanism shares: built
+    once, then only read through read-only views.  The template is cut at
+    its pads, as each pads to its own switch's deadline; invariant memoises
+    partition_subset_invariant per (touched set, domain)."""
+
+    def __init__(self, policy: DomainPolicy, g: CacheGeometry, cm: CostModel, amap: AddressMap,
+                 budget: int, mechanism: tuple[type, ...]):
+        self.rotation = ids = policy.domain_ids()
+        self.successor = MappingProxyType(dict(zip(ids, ids[1:] + ids[:1])))
+        self.globals_walk = tuple(Read(KERNEL_VBASE + a, a) for a in sorted(policy.kernel_globals))
+        self.image_walks = MappingProxyType({
+            d.ident: tuple(Read(KERNEL_VBASE + line, line)
+                           for page in sorted(d.kernel_image) for line in g.page_lines(page))
+            for d in policy.domains
+        })
+        self.kernel_walks = MappingProxyType(
+            {d: self.globals_walk + walk for d, walk in self.image_walks.items()})
+        # The dirty phase touches both images in a fixed order, so it reveals
+        # nothing either domain does not know.
+        self.old_clean = MappingProxyType({d: self.globals_walk + tuple(sorted(
+            self.image_walks[d] + self.image_walks[self.successor[d]], key=lambda op: op.p,
+        )) if policy.use_dirty_phase else self.globals_walk for d in ids})
+        self.worst = MappingProxyType({  # for the deferral rule
+            (kind, d): worst_input_cost(cm, budget, kind, len(walk) if kind in KERNEL_CALLS else 0)
+            for kind in INPUT_KINDS for d, walk in self.kernel_walks.items()})
+        ops = {Read: self.globals_walk, OffCoreFlush: (OffCoreFlush(policy.kernel_globals),),
+               OnCoreFlush: (OnCoreFlush(),)}
+        pieces: list[Trace] = [()]
+        for cls in mechanism:
+            if cls is PadTo:
+                pieces.append(())
+            else:
+                pieces[-1] += ops[cls]
+        self.template = tuple(pieces)
+        self.global_sets = policy.global_set_indices(g)
+        self.invariant = functools.lru_cache(maxsize=256)(functools.partial(
+            partition_subset_invariant, policy=policy, amap=amap, g=g))
+
+
+_run_plan = functools.lru_cache(maxsize=16)(_RunPlan)
 
 
 class SystemRunner:
     """Drives one system run: alternating timeslices and domain switches."""
 
     def __init__(self, cfg: RunConfig, seed: object, options: RunOptions | None = None):
-        self.cfg = cfg
-        self.seed = str(seed)
-        self.options = options or RunOptions()
-        self.g = cfg.geometry
-        self.cm = cfg.cost_model
-        self.policy = cfg.policy
-        self.amap = cfg.amap
-        # The fixed kernel walks, shared by every runner of the policy.
-        self.globals_walk, self.image_walks = _kernel_walks(self.policy, self.g)
-        self.abstract = AbstractState(
-            objects={o.ident: o for o in cfg.scenario.objects},
-            current=self.policy.domains[0].ident,
-            slot_remaining=self.policy.slice_length,
-            ta=frozenset(),
-        )
+        self._begin(cfg, seed, options)
+        self.abstract = AbstractState({o.ident: o for o in cfg.scenario.objects},
+                                      self.plan.rotation[0], self.policy.slice_length, frozenset())
         self.micro = self._initial_micro()
         self.slice_index = 0
-        self.failures: list[Failure] = []
-        self._deferred: dict[int, list[Input]] = {d: [] for d in self.policy.domain_ids()}
-        self._step_in_slice = 0
 
     @classmethod
     def at(cls, cfg: RunConfig, seed: object, options: RunOptions | None,
            abstract: AbstractState, micro: MicroArchState, slice_index: int) -> "SystemRunner":
         """A runner whose next slice is slice_index, from the state (abstract,
-        micro), with no inputs deferred and no failures.  The state need not
-        be one that any run of the config reaches."""
-        runner = cls(cfg, seed, options)
+        micro), with no inputs deferred and no failures.  The state need not be
+        one that any run of the config reaches; no initial state is built."""
+        runner = cls.__new__(cls)
+        runner._begin(cfg, seed, options)
         runner.abstract, runner.micro, runner.slice_index = abstract, micro, slice_index
         return runner
 
-    # -- construction helpers --
+    def _begin(self, cfg: RunConfig, seed: object, options: RunOptions | None) -> None:
+        """Everything but the state: the config, its shared plan, no failures."""
+        self.cfg = cfg
+        self.seed = str(seed)
+        self.options = options or RunOptions()
+        self.g, self.cm, self.policy, self.amap = cfg.geometry, cfg.cost_model, cfg.policy, cfg.amap
+        self.plan = _run_plan(self.policy, self.g, self.cm, self.amap,
+                              cfg.analysis.trace_budget, self.options.mechanism)
+        self.globals_walk, self.image_walks = self.plan.globals_walk, self.plan.image_walks
+        self.failures: list[Failure] = []
+        self._deferred: dict[int, list[Input]] = {d: [] for d in self.plan.rotation}
+        self._step_in_slice = 0
 
     def _initial_micro(self) -> MicroArchState:
         state = MicroArchState.initial(self.g, self.cm.flushable_words)
-        if not self.cfg.scenario.initial_cache:
-            return state
         sets = list(state.sets)
-        # Load checked that the lines are distinct, fit their sets and have
-        # valid levels.
+        # Load checked that the lines are distinct, fit their sets and have valid levels.
         for addr, level in self.cfg.scenario.initial_cache:
             idx = set_index_of(addr, self.g)
             ways = list(sets[idx].ways)
@@ -260,11 +282,6 @@ class SystemRunner:
         if self.options.oracle_factory is not None:
             return self.options.oracle_factory(self.slice_index, domain, phase)
         return NondetOracle(key=f"{self.seed}:oracle:{self.slice_index}:{domain}:{phase}")
-
-    def _kernel_walk(self, input: Input, domain: int) -> Trace:
-        if input.kind in KERNEL_CALLS:
-            return self.globals_walk + self.image_walks[domain]
-        return ()
 
     def _apply(self, trace: Trace, oracle: NondetOracle, failures: list[Failure]) -> Trace:
         """Apply a trace to the hardware state; returns the operations that ran.
@@ -291,7 +308,7 @@ class SystemRunner:
     # -- abstract semantics --
 
     def _run_abstract(self, input: Input,
-                      domain: int) -> tuple[AbstractState, list[Failure], set[int]]:
+                      domain: int) -> tuple[AbstractState, list[Failure], Iterable[int]]:
         """Execute the abstract semantics of one input.
 
         Returns (next abstract state, failures, footprint pages).
@@ -299,23 +316,23 @@ class SystemRunner:
         st = self.abstract
         psz = self.amap.page_size
         if input.kind == NOOP:
-            return st, [], set()
+            return st, [], ()
         if input.kind == RAW_ACCESS:
             f = access_mem(st, input.vaddr, psz)
-            return (st, [f], set()) if f else (st, [], {input.vaddr - input.vaddr % psz})
+            return (st, [f], ()) if f else (st, [], (input.vaddr - input.vaddr % psz,))
         if input.kind == SYS_ALLOC:
             pool = [o for o in st.objects.values() if o.owner == domain and not o.allocated]
             if not pool:
-                return st, [], set()   # pool exhausted
-            st, obj = get_object(st, min(pool, key=lambda o: o.ident).ident, psz)
+                return st, [], ()   # pool exhausted
+            st, obj, pages = get_object(st, min(pool, key=lambda o: o.ident).ident, psz)
             st = st._replace(objects={**st.objects,
                                       obj.ident: replace(obj, allocated=True, payload={})})
             f = access_mem(st, obj.base, psz)
-            return st, [f] if f else [], set(obj.pages(psz))
+            return st, [f] if f else [], pages
         if input.obj not in st.objects:
-            return st, [Failure("bad-input", f"unknown object {input.obj!r}")], set()
+            return st, [Failure("bad-input", f"unknown object {input.obj!r}")], ()
 
-        st, obj = get_object(st, input.obj, psz)
+        st, obj, pages = get_object(st, input.obj, psz)
         offset = input.offset % max(obj.size, 1)
         f = access_mem(st, obj.base + offset, psz)
         if not f and input.kind in (USER_WRITE, SYS_WRITE):
@@ -324,7 +341,7 @@ class SystemRunner:
             if self.options.ta_leak not in (None, domain):
                 objects = self._leak_byte(objects, byte)
             st = st._replace(objects=objects)
-        return st, [f] if f else [], set(obj.pages(psz))
+        return st, [f] if f else [], pages
 
     def _leak_byte(self, objects: Mapping[str, ObjectSpec], byte: int) -> Mapping[str, ObjectSpec]:
         # Deliberate confidentiality bug: copy a byte written by another domain
@@ -337,7 +354,7 @@ class SystemRunner:
     # -- cost bounds for the deferral rule --
 
     def worst_case_cost(self, input: Input) -> int:
-        return worst_input_cost(self.cfg, input.kind, len(self._kernel_walk(input, self.abstract.current)))
+        return self.plan.worst[input.kind, self.abstract.current]
 
     # -- one step -------------------------------------------------------------
 
@@ -348,11 +365,9 @@ class SystemRunner:
         mu_before = self.micro
 
         st, failures, footprint = self._run_abstract(input, domain)
-        kind = "kernel-call" if input.kind in KERNEL_CALLS else "user"
+        kernel_call = input.kind in KERNEL_CALLS
 
-        ok, witnesses = partition_subset_invariant(
-            st.ta, domain, self.policy, self.amap, self.g
-        )
+        ok, witnesses = self.plan.invariant(st.ta, domain)
         if not ok:
             failures.append(Failure(
                 kind="invariant",
@@ -365,7 +380,8 @@ class SystemRunner:
         kernel_trace: Trace = ()
         trace: Trace = ()
         if not failures:
-            kernel_trace = self._kernel_walk(input, domain)
+            if kernel_call:
+                kernel_trace = self.plan.kernel_walks[domain]
             if footprint:
                 vis = visible_projection(self.micro, domain, self.policy, "executing", self.g)
                 seed = f"{self.seed}:trace:{self.slice_index}:{self._step_in_slice}"
@@ -382,7 +398,8 @@ class SystemRunner:
 
             oracle = self._oracle(domain, f"step:{self._step_in_slice}")
             applied = self._apply(kernel_trace + trace, oracle, failures)
-            kernel_trace, trace = applied[:len(kernel_trace)], applied[len(kernel_trace):]
+            if failures:
+                kernel_trace, trace = applied[:len(kernel_trace)], applied[len(kernel_trace):]
 
             delta = self.micro.clock - mu_before.clock
             if delta > before.slot_remaining:
@@ -390,12 +407,12 @@ class SystemRunner:
                     kind="slot-overrun",
                     detail=f"step cost {delta} exceeded remaining slot {before.slot_remaining}",
                 ))
-            st = st._replace(slot_remaining=before.slot_remaining - delta)
+            st = AbstractState(st.objects, st.current, before.slot_remaining - delta, st.ta)
         self.abstract = st
 
         record = StepRecord(
-            kind=kind, slice_index=self.slice_index, domain=domain, input=input,
-            ta_before=before.ta, ta_after=st.ta,
+            kind="kernel-call" if kernel_call else "user", slice_index=self.slice_index,
+            domain=domain, input=input, ta_before=before.ta, ta_after=st.ta,
             kernel_trace=kernel_trace, trace=trace,
             s_mu_before=mu_before, s_mu_after=self.micro,
             failures=tuple(failures),
@@ -405,10 +422,6 @@ class SystemRunner:
 
     # -- the four-phase switch --------------------------------------------------
 
-    def _next_domain(self, old: int) -> int:
-        ids = self.policy.domain_ids()
-        return ids[(ids.index(old) + 1) % len(ids)]
-
     def domain_switch(self, tick: int) -> StepRecord:
         """Switch away from the current domain at the given timer tick; returns its record."""
         st = self.abstract
@@ -417,6 +430,7 @@ class SystemRunner:
                 f"domain switch before the timer tick: {st.slot_remaining} cycles left"
             )
         old = st.current
+        plan = self.plan
         mu_before = self.micro
         failures: list[Failure] = []
         if self.micro.clock > tick:
@@ -426,41 +440,32 @@ class SystemRunner:
 
         # Phase 1, old_clean: deterministic scheduler bookkeeping over the
         # kernel globals, same discipline as any step but outside the
-        # touched set (static exception).
-        kernel_trace: Trace = self.globals_walk
-
-        # Phase 2, dirty: optional, off by default.  Touches both images in a
-        # fixed order, so it reveals nothing either domain does not know.
-        if self.policy.use_dirty_phase:
-            new = self._next_domain(old)
-            kernel_trace = kernel_trace + tuple(sorted(
-                self.image_walks[old] + self.image_walks[new], key=lambda op: op.p,
-            ))
-
-        kernel_trace = self._apply(kernel_trace, self._oracle(old, "old_clean"), failures)
+        # touched set (static exception).  Phase 2, dirty: optional, off by
+        # default; the plan appends both images' walks to old_clean.
+        kernel_trace = self._apply(plan.old_clean[old], self._oracle(old, "old_clean"), failures)
 
         # Phase 3, mechanism: scrub and pad.  The next state's touched set is
         # empty; no other transition empties it.
-        template = tuple(op for cls in self.options.mechanism
-                         for op in _TEMPLATE_OPS[cls](self, deadline))
+        template = plan.template[0]
+        for piece in plan.template[1:]:
+            template += (PadTo(deadline),) + piece
         mechanism_ops = self._apply(template, self._oracle(KERNEL_DOMAIN, "mechanism"),
                                     failures)
 
         # Phase 4, new_clean: install the next domain.  Pure bookkeeping, no
         # timed accesses, so the post-switch clock stays at the deadline.
-        self.abstract = st._replace(current=self._next_domain(old),
-                                    slot_remaining=self.policy.slice_length, ta=frozenset())
+        self.abstract = AbstractState(st.objects, plan.successor[old], self.policy.slice_length,
+                                      frozenset())
 
         failures.extend(self._switch_postcondition_failures(deadline))
 
-        record = StepRecord(
+        return StepRecord(
             kind="switch", slice_index=self.slice_index, domain=old, input=None,
             ta_before=st.ta, ta_after=self.abstract.ta,
             kernel_trace=kernel_trace, trace=mechanism_ops,
             s_mu_before=mu_before, s_mu_after=self.micro,
             failures=tuple(failures),
         )
-        return record
 
     def _switch_postcondition_failures(self, deadline: int) -> list[Failure]:
         """Postconditions of exactly the operation classes in the template."""
@@ -470,7 +475,7 @@ class SystemRunner:
             if self.micro.flushable != flushable_reset(self.cm.flushable_words):
                 out.append(Failure("switch-postcondition", "flushable state not reset"))
         if OffCoreFlush in mechanism:
-            for idx in self.policy.global_set_indices(self.g):
+            for idx in self.plan.global_sets:
                 cset = self.micro.sets[idx]
                 if not cset.is_empty() or cset.meta != 0:
                     out.append(Failure(
@@ -499,27 +504,12 @@ class SystemRunner:
         that wants to stop breaks out.  schedule maps each domain to its input
         batches, one per rotation; it defaults to the scenario's inputs.
         """
-        for record in self._slices(slices, schedule):
-            self.failures.extend(record.failures)
-            yield record
-        self.finish()
-
-    def finish(self) -> None:
-        """Mark the run starved if inputs are still deferred.  transitions()
-        calls it at the end; a consumer that stops early calls it itself."""
-        # A run that never got to some inputs says nothing about them.
-        for domain, queue in self._deferred.items():
-            if queue:
-                self.failures.append(Failure("starved", f"domain {domain}: {len(queue)} "
-                                                        f"input(s) still deferred when the run ended"))
-
-    def _slices(self, slices: int | None,
-                schedule: dict[int, list[list[Input]]] | None) -> Iterator[StepRecord]:
         total = slices if slices is not None else self.cfg.scenario.slices
         if schedule is None:
             schedule = self.cfg.scenario.inputs
+        ids = self.plan.rotation
         for k in range(self.slice_index, total):
-            domain = self.policy.domain_ids()[k % len(self.policy.domains)]
+            domain = ids[k % len(ids)]
             # The round-robin successor was installed by the previous switch;
             # trust but verify, since schedules are defined positionally.
             if domain != self.abstract.current:
@@ -528,11 +518,10 @@ class SystemRunner:
                     f"{domain}, but domain {self.abstract.current} is current"
                 )
             self._step_in_slice = 0
-            slice_start = self.micro.clock
-            tick = slice_start + self.policy.slice_length
+            tick = self.micro.clock + self.policy.slice_length
 
             batches = schedule.get(domain, [])
-            rotation = k // len(self.policy.domains)
+            rotation = k // len(ids)
             batch = batches[rotation] if rotation < len(batches) else []
             queue = self._deferred[domain] + list(batch)
             self._deferred[domain] = []
@@ -543,16 +532,31 @@ class SystemRunner:
                     # it) to this domain's next slice.
                     self._deferred[domain] = queue[i:]
                     break
-                yield self.step(inp)
+                record = self.step(inp)
+                self.failures.extend(record.failures)
+                yield record
 
             # Idle to the timer tick; slices end on exact boundaries.  A slice
             # that ran past it is a failure of the switch that follows.
             if self.micro.clock < tick:
-                self.micro = self.micro._replace(clock=tick)
-            self.abstract = self.abstract._replace(slot_remaining=0)
+                self.micro = MicroArchState(self.micro.flushable, self.micro.sets, tick)
+            st = self.abstract
+            self.abstract = AbstractState(st.objects, st.current, 0, st.ta)
 
-            yield self.domain_switch(tick)
+            record = self.domain_switch(tick)
+            self.failures.extend(record.failures)
+            yield record
             self.slice_index += 1
+        self.finish()
+
+    def finish(self) -> None:
+        """Mark the run starved if inputs are still deferred.  transitions()
+        calls it at the end; a consumer that stops early calls it itself."""
+        # A run that never got to some inputs says nothing about them.
+        for domain, queue in self._deferred.items():
+            if queue:
+                self.failures.append(Failure("starved", f"domain {domain}: {len(queue)} "
+                                                        f"input(s) still deferred when the run ended"))
 
 
 def _input_to_dict(inp: Input) -> dict[str, Any]:

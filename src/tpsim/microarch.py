@@ -123,7 +123,7 @@ class CacheSet(NamedTuple):
         return 0
 
     def is_empty(self) -> bool:
-        return all(e is None for e in self.ways)
+        return self.ways.count(None) == len(self.ways)
 
 
 class MicroArchState(NamedTuple):
@@ -460,15 +460,29 @@ def _access_terms(v: int, p: int, line_size: int, num_sets: int, n: int) -> tupl
 
 
 @functools.lru_cache(maxsize=8)
+def _fold_constants(line_size: int, num_sets: int, num_ways: int, n: int) -> tuple:
+    """What apply_trace needs of a geometry and n words: the lane constants, the
+    PLRU masks and, up to 16 ways, victims by tree state (meta & tree), and a
+    memo of the first 512 _access_terms by (v, p), a cheaper key than five."""
+    tree = (1 << num_ways - 1) - 1
+    victims = tuple(_plru_victim(m, num_ways) for m in range(tree + 1)) if num_ways <= 16 else None
+    return (*_lane_constants(n)[:2], _plru_masks(num_ways), victims, tree, {})
+
+
+@functools.lru_cache(maxsize=8)
 def _lanes(n: int) -> struct.Struct:
     """n little-endian 64-bit words, each padded to its 128-bit lane."""
     return struct.Struct("<" + "Q8x" * n)
 
 
 def _pack(words: tuple[int, ...]) -> int:
-    # Mixing multiplies first and keeps 64 bits, so reducing each word mod
-    # 2^64 beforehand gives the same result.
-    return int.from_bytes(_lanes(len(words)).pack(*[w & _WORD_MASK for w in words]), "little")
+    lanes = _lanes(len(words))
+    try:
+        return int.from_bytes(lanes.pack(*words), "little")
+    except struct.error:
+        # Mixing multiplies first and keeps 64 bits, so reducing each word
+        # mod 2^64 beforehand gives the same result.
+        return int.from_bytes(lanes.pack(*[w & _WORD_MASK for w in words]), "little")
 
 
 def _unpack(packed: int, n: int) -> tuple[int, ...]:
@@ -477,15 +491,17 @@ def _unpack(packed: int, n: int) -> tuple[int, ...]:
 
 def _freeze(base: tuple[CacheSet, ...], work: dict[int, list], words: tuple[int, ...],
             packed: int | None, clock: int) -> MicroArchState:
+    # tuple.__new__ skips the named tuples' argument handling, which the
+    # fold's own values do not need.
     sets = base
     if work:
         sets = list(base)
         for idx, (ways, meta) in work.items():
-            sets[idx] = CacheSet(tuple(ways), meta)
+            sets[idx] = tuple.__new__(CacheSet, (tuple(ways), meta))
         sets = tuple(sets)
     if packed is not None:
         words = _unpack(packed, len(words))
-    return MicroArchState(words, sets, clock)
+    return tuple.__new__(MicroArchState, (words, sets, clock))
 
 
 def apply_trace(state: MicroArchState, trace: Trace, oracle: NondetOracle,
@@ -494,14 +510,14 @@ def apply_trace(state: MicroArchState, trace: Trace, oracle: NondetOracle,
 
     Every operation updates a private working copy: the flushable words, the
     touched and flushed sets as mutable [ways, meta] pairs, and the clock.
-    One state is built at the end.  apply_op stays the reference semantics,
-    and the fold must agree with it on the result, the oracle words drawn
-    and any error raised.
+    One state is built at the end.  The oracle is read at once, two words an
+    operation, then set back to count the words drawn.  apply_op stays the
+    reference semantics, and the fold must agree with it on the result, the
+    oracle words drawn and any error raised.
     """
     if not trace:
         return state
     n_words = len(state.flushable)
-    ones, lane_mask, _, _ = _lane_constants(n_words)
     words = state.flushable       # current unless packed is set
     packed: int | None = None
     base = state.sets
@@ -512,102 +528,104 @@ def apply_trace(state: MicroArchState, trace: Trace, oracle: NondetOracle,
     hit_cost, miss_cost, miss_evict_cost = cm.hit_cost, cm.miss_cost, cm.miss_evict_cost
     jitter_mod = cm.jitter + 1
     adversarial = policy.replacement == "adversarial"
-    plru = _plru_masks(num_ways)
+    ones, lane_mask, plru, victims, tree, terms = _fold_constants(line_size, num_sets, num_ways,
+                                                                  n_words)
 
-    i, end = 0, len(trace)
+    start = oracle.consumed
+    drawn = oracle.next_words(2 * len(trace))
+    avail = len(drawn)
+    w = i = 0                     # words used, operation index
     try:
-        while i < end:
-            op = trace[i]
+        for i, op in enumerate(trace):
             cls = op.__class__
-            if cls is not Read and cls is not Write:
-                if cls is OffCoreFlush:
-                    # offcore_flush_cost, on the working copy
-                    indices = {set_index_of(t, g) for t in op.targets}
-                    entries = 0
-                    for idx in indices:
-                        ways = work[idx][0] if idx in work else base[idx].ways
-                        entries += len(ways) - ways.count(None)
-                    clock += (cm.offcore_flush_base + entries * cm.writeback_cost
-                              + oracle.next_word() % jitter_mod)
-                    for idx in indices:
-                        work[idx] = [[None] * num_ways, META_RESET]
-                elif cls is OnCoreFlush:
-                    if packed is not None:
-                        words, packed = _unpack(packed, n_words), None
-                    # oncore_flush_cost, on the working copy
-                    acc = 0
-                    for w in words:
-                        acc = (acc * 31 + w) & _WORD_MASK
-                    clock += (cm.oncore_flush_base + acc % cm.oncore_flush_spread
-                              + oracle.next_word() % jitter_mod)
-                    words = flushable_reset(n_words)
-                elif cls is PadTo:
-                    if op.t < clock:
-                        raise PadViolation(clock, op.t)
-                    clock = op.t
-                else:
-                    raise TypeError(f"unknown trace operation {op!r}")
-                i += 1
-                continue
-
-            # A run of reads and writes draws its words at once.  It ends
-            # before any other operation and before a negative address, which
-            # raises, as in apply_op, before it draws a word.
-            j = i
-            while j < end and ((cls := trace[j].__class__) is Read or cls is Write) \
-                    and not trace[j].p < 0:
-                j += 1
-            if j == i:
-                set_index_of(op.p, g)    # op.p < 0, so this raises
-            drawn = iter(oracle.next_words(2 * (j - i)))
-            if packed is None:
-                packed = _pack(words)
-            for mix_word, jitter_word in zip(drawn, drawn):
-                op = trace[i]
-                idx, tag, term = _access_terms(op.v, op.p, line_size, num_sets, n_words)
+            if cls is Read or cls is Write:
+                t = terms.get((op.v, op.p))
+                if t is None:    # only addresses that passed this check are kept
+                    if op.p < 0:
+                        set_index_of(op.p, g)    # raises, as in apply_op, before a draw
+                    t = _access_terms(op.v, op.p, line_size, num_sets, n_words)
+                    if len(terms) < 512:
+                        terms[op.v, op.p] = t
+                idx, tag, term = t
+                if w + 2 > avail:    # the word list ran out: the failing draw counts
+                    w = avail + 1
+                    oracle.next_word()
+                mix_word, jitter_word = drawn[w], drawn[w + 1]
+                w += 2
                 entry = work.get(idx)
                 if entry is None:
                     cset = base[idx]
                     entry = work[idx] = [list(cset.ways), cset.meta]
                 ways = entry[0]
 
-                # touch_cost, on the working copy
-                way, level = -1, 0
-                for k, e in enumerate(ways):
+                # touch_cost and _access, on the working copy
+                for way, e in enumerate(ways):
                     if e is not None and e[0] == tag:
-                        way, level = k, e[1]
+                        level = e[1]
+                        cost = hit_cost[level - 1] if level > 0 else \
+                            miss_cost if None in ways else miss_evict_cost
                         break
-                if level > 0:
-                    cost = hit_cost[level - 1]
-                elif None in ways:
-                    cost = miss_cost
                 else:
-                    cost = miss_evict_cost
-
-                # _access, on the working copy
-                if way < 0:
                     if None in ways:
-                        way = ways.index(None)
-                    elif adversarial:
-                        way = _adv_victim(entry[1], num_ways)
+                        cost, way = miss_cost, ways.index(None)
                     else:
-                        way = _plru_victim(entry[1], num_ways)
+                        cost = miss_evict_cost
+                        if adversarial:
+                            way = _adv_victim(entry[1], num_ways)
+                        elif victims:
+                            way = victims[entry[1] & tree]
+                        else:
+                            way = _plru_victim(entry[1], num_ways)
                 ways[way] = (tag, 1)
                 if adversarial:
-                    entry[1] = _adv_update(entry[1], tag)
+                    entry[1] = (entry[1] * _MIX_MULT + (tag | 1)) & _WORD_MASK    # _adv_update
                 else:
                     keep, set_bits = plru[way]
                     entry[1] = entry[1] & keep | set_bits
 
+                if packed is None:
+                    packed = _pack(words)
                 packed = ((packed * _MIX_MULT ^ term) & lane_mask) ^ (mix_word * ones)
                 clock += cost + jitter_word % jitter_mod    # as _jitter, also for jitter 0
-                i += 1
-            if i < j:
-                oracle.next_word()    # the word list ran out: raises at operation i
+                continue
+            if cls is PadTo:
+                if op.t < clock:
+                    raise PadViolation(clock, op.t)
+                clock = op.t
+                continue
+            if cls is OffCoreFlush:
+                # offcore_flush_cost, on the working copy
+                indices = {set_index_of(t, g) for t in op.targets}
+                cost = cm.offcore_flush_base
+                for idx in indices:
+                    ways = work[idx][0] if idx in work else base[idx].ways
+                    cost += (len(ways) - ways.count(None)) * cm.writeback_cost
+            elif cls is OnCoreFlush:
+                if packed is not None:
+                    words, packed = _unpack(packed, n_words), None
+                # oncore_flush_cost, on the working copy
+                acc = 0
+                for x in words:
+                    acc = (acc * 31 + x) & _WORD_MASK
+                cost = cm.oncore_flush_base + acc % cm.oncore_flush_spread
+            else:
+                raise TypeError(f"unknown trace operation {op!r}")
+            if w >= avail:
+                w = avail + 1
+                oracle.next_word()
+            clock += cost + drawn[w] % jitter_mod
+            w += 1
+            if cls is OffCoreFlush:
+                for idx in indices:
+                    work[idx] = [[None] * num_ways, META_RESET]
+            else:
+                words = flushable_reset(n_words)
     except ModelError as e:
         # No operation changes the working copy before it has drawn its words
         # and passed its checks.
         raise TraceError(i, e, _freeze(base, work, words, packed, clock)) from e
+    finally:
+        oracle.consumed = start + w
     return _freeze(base, work, words, packed, clock)
 
 
@@ -683,7 +701,8 @@ def visible_set_indices(observer: int, policy: DomainPolicy, g: CacheGeometry,
 
 def visible_projection(state: MicroArchState, observer: int, policy: DomainPolicy,
                        role: str, g: CacheGeometry) -> VisibleProjection:
-    sets = tuple((i, state.sets[i]) for i in visible_set_indices(observer, policy, g, role))
+    indices = visible_set_indices(observer, policy, g, role)
+    sets = tuple(zip(indices, map(state.sets.__getitem__, indices)))
     if role == "executing":
         return VisibleProjection(role, state.flushable, sets, state.clock)
     return VisibleProjection(role, None, sets, None)

@@ -33,7 +33,6 @@ from .microarch import (
     NondetOracle,
     Read,
     Trace,
-    TraceOp,
     VisibleProjection,
     Write,
     visible_set_indices,
@@ -45,10 +44,10 @@ def _digest(head: object, sets: Iterable[tuple[int, CacheSet]] = ()) -> str:
     meta) of sets, one set at a time in the order given.  Version 2 records no
     object sharing (3 and later do), so equal ints, Nones, strs and tuples of
     them encode alike however they were built.  Each encoding says where it
-    ends, and head carries the number of sets."""
-    dumps = marshal.dumps
-    encoded = [dumps(head, 2), *[dumps((i, ways, meta), 2) for i, (ways, meta) in sets]]
-    return hashlib.blake2b(b"".join(encoded), digest_size=16).hexdigest()
+    ends, and head carries the number of sets.  The sets go in one list,
+    whose encoding is a 5-byte header and then each element's encoding."""
+    body = marshal.dumps([(i, ways, meta) for i, (ways, meta) in sets], 2)
+    return hashlib.blake2b(marshal.dumps(head, 2) + body[5:], digest_size=16).hexdigest()
 
 
 def projection_digest(vp: VisibleProjection) -> str:
@@ -83,11 +82,13 @@ def _page_plan(vpage: int, amap: AddressMap, line_size: int
 
 @functools.lru_cache(maxsize=32)
 def _footprint_plan(pages: tuple[int, ...], amap: AddressMap, budget: int, line_size: int
-                    ) -> tuple[str, tuple[tuple[int, Read | None, Write | None], ...]]:
+                    ) -> tuple[str, tuple[tuple[int, Read | None, Write | None], ...], bool, list]:
     """What select_trace needs of a footprint besides the projection and the
-    seed: its digest, and its pages' lines in order."""
+    seed: its digest, its pages' lines in order, whether every line is
+    mapped, and the oracle key and trace of the last choice made over it."""
     lines = tuple(chain.from_iterable(_page_plan(vpage, amap, line_size) for vpage in pages))
-    return _digest((pages, amap.digest_key(), budget)), lines
+    return (_digest((pages, amap.digest_key(), budget)), lines,
+            all(read is not None for _, read, _ in lines), [None, ()])
 
 
 def select_trace(
@@ -118,10 +119,11 @@ def select_trace(
     if not ta_pages:
         return ()
 
-    footprint, lines = _footprint_plan(ta_pages, amap, budget, line_size)
-    oracle = NondetOracle(key=":".join([
-        "select", str(seed), projection_digest(visible), footprint, extra_entropy,
-    ]))
+    footprint, lines, mapped, last = _footprint_plan(ta_pages, amap, budget, line_size)
+    key = ":".join(["select", str(seed), projection_digest(visible), footprint, extra_entropy])
+    if last[0] == key:    # the choice is a function of the key and the footprint
+        return last[1]
+    oracle = NondetOracle(key=key)
     n, m = len(lines), min(len(lines), budget)
     words = oracle.next_words(2 + n + m)
     mode = words[0] * 20 >> 64      # 0-17: every line; 18: a sample; 19: padded
@@ -132,13 +134,13 @@ def select_trace(
         chosen.append(oracle.next_word() % n)
         writes.append(oracle.next_word())
 
-    ops: list[TraceOp] = []
-    for i, w in zip(chosen, writes):
-        v, read, write = lines[i]
-        if read is None:
-            raise TranslationFault(v)
-        ops.append(write if w < 1 << 62 else read)
-    return tuple(ops)
+    if not mapped:
+        for i in chosen:
+            if lines[i][1] is None:
+                raise TranslationFault(lines[i][0])
+    # Each line's write (index 2) for a write word below 2^62, else its read.
+    last[:] = key, tuple([lines[i][2 - (w >= 1 << 62)] for i, w in zip(chosen, writes)])
+    return last[1]
 
 
 def select_trace_peeking(

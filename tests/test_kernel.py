@@ -1,5 +1,6 @@
 """Kernel semantics: touched-set tracking, slices, and the four-phase switch."""
 
+import collections.abc
 import dataclasses
 import json
 import pickle
@@ -526,3 +527,29 @@ def test_a_payload_cannot_be_changed_in_place(config_dir):
     obj = dataclasses.replace(cfg.scenario.objects[0], payload=given)
     given[1] = 3
     assert obj.payload == {1: 2}
+
+
+def test_runners_share_a_read_only_plan(ref_cfg, config_dir):
+    """Every runner of equal configs shares one plan, and no runner can write
+    through it into another: each mapping it shares is a read-only view."""
+    r = SystemRunner(ref_cfg, seed=1)
+    with pytest.raises(TypeError):
+        r.image_walks[0] = ()
+    fresh = SystemRunner(load_config(config_dir / "reference.yaml"), seed=3)
+    assert fresh.plan is r.plan
+    assert fresh.image_walks[0] == r.image_walks[0] != ()
+    shared = {name: value for name, value in vars(r.plan).items()
+              if isinstance(value, collections.abc.Mapping)}
+    assert {"image_walks", "kernel_walks", "old_clean", "successor", "worst"} <= set(shared)
+    for name, mapping in shared.items():
+        with pytest.raises(TypeError):
+            mapping[next(iter(mapping))] = None
+
+
+def test_run_options_are_frozen():
+    options = RunOptions()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        options.mechanism = ()
+    changed = dataclasses.replace(options, mechanism=PREFETCH_MECHANISM, ta_leak=1)
+    assert (changed.mechanism, changed.ta_leak) == (PREFETCH_MECHANISM, 1)
+    assert options == RunOptions() and options.mechanism == HONEST_MECHANISM

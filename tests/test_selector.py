@@ -1,5 +1,8 @@
 """The trace chooser: adversarial in choice, constrained in what it can see."""
 
+import dataclasses
+import hashlib
+import marshal
 import os
 import pickle
 import random
@@ -10,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import tpsim
-from tpsim.core import AddressMap, CacheGeometry, DomainPolicy, DomainSpec, TranslationFault
+from tpsim.core import (
+    REPLACEMENTS, AddressMap, CacheGeometry, DomainPolicy, DomainSpec, TranslationFault,
+)
 from tpsim.microarch import (
     CacheSet,
     MicroArchState,
@@ -20,11 +25,13 @@ from tpsim.microarch import (
     visible_projection,
 )
 from tpsim.selector import (
+    draw_sets,
     full_state_digest,
     perturb_invisible,
     projection_digest,
     select_trace,
     select_trace_peeking,
+    set_draw,
 )
 
 G = CacheGeometry(line_size=64, num_sets=64, num_ways=2, page_size=1024)
@@ -172,6 +179,45 @@ def _one_field_changes(vp):
     yield with_set(i, cset._replace(meta=cset.meta ^ 1))
     yield with_set(i + G.num_sets, cset)
     yield vp._replace(clock=vp.clock + 1)
+
+
+def _layout_digest(head, sets):
+    """The documented layout: marshal version 2 of head, then of each (index,
+    ways, meta), one set at a time, hashed with 16-byte BLAKE2b."""
+    encoded = marshal.dumps(head, 2) + b"".join(
+        marshal.dumps((i, ways, meta), 2) for i, (ways, meta) in sets)
+    return hashlib.blake2b(encoded, digest_size=16).hexdigest()
+
+
+def test_digests_hash_the_documented_byte_layout():
+    """Random executing and suspended projections of both observers, and the
+    whole states, under both replacement policies: empty ways, level-2
+    entries and 64-bit adversarial metadata included."""
+    rng = random.Random("digest-layout")
+    universe = range(0, 4 * G.num_sets * G.line_size, G.line_size)
+    seen = set()
+    for replacement in REPLACEMENTS:
+        policy = dataclasses.replace(POL, replacement=replacement)
+        draw = set_draw(universe, G, range(G.num_sets), 2, replacement)
+        for _ in range(250):
+            sets, (clock,) = draw_sets(rng, draw, "Q")
+            state = MicroArchState(tuple(rng.getrandbits(64) for _ in range(8)), tuple(sets), clock)
+            assert full_state_digest(state) == _layout_digest(
+                (state.flushable, len(state.sets), state.clock), enumerate(state.sets))
+            for observer in (0, 1):
+                for role in ("executing", "suspended"):
+                    vp = visible_projection(state, observer, policy, role, G)
+                    assert projection_digest(vp) == _layout_digest(
+                        (vp.role, vp.flushable, len(vp.visible_sets), vp.clock), vp.visible_sets)
+            for cset in sets:
+                if cset.is_empty():
+                    seen.add(("empty", replacement))
+                if any(e is not None and e[1] == 2 for e in cset.ways):
+                    seen.add(("level 2", replacement))
+                if cset.meta >= 1 << 63:
+                    seen.add(("64-bit meta", replacement))
+    assert seen >= {("empty", "plru"), ("empty", "adversarial"), ("level 2", "plru"),
+                    ("level 2", "adversarial"), ("64-bit meta", "adversarial")}
 
 
 def test_a_digest_depends_on_the_value_alone():
